@@ -16,26 +16,26 @@ import re
 import sys
 
 from .errors import DimensionError, ParseError
-from .laurent import SPECIALIZE_L, SPECIALIZE_S, SPECIALIZE_W, LaurentPoly2
+from .laurent import LaurentPoly2
 from .manifold import (
     BUILTIN_NAMES,
     ClassLabel,
     HomologyClass1,
     ManifoldModel,
+    _vec_str,
     builtin,
     load_model,
+    read_json,
 )
 from .skein import (
+    _SPECIALIZE_BY_TAG,
     MODULE_TAGS,
     LinkClass,
-    SkeinElement,
+    LinkIndex,
     alpha_from_refs,
-    epsilon,
-    epsilon_prime,
     is_free,
+    link_index,
     load_trace,
-    mu_index,
-    summand,
     trace_evaluate,
 )
 
@@ -53,13 +53,13 @@ class _Parser(argparse.ArgumentParser):
 
 # -- input resolution ----------------------------------------------------------
 
-_BUILTIN_CALL = re.compile(r"^(lens|handlebody)\(([-0-9,\s]*)\)$")
+_BUILTIN_CALL = re.compile(rf"^({'|'.join(map(re.escape, BUILTIN_NAMES))})\(([-0-9,\s]*)\)$")
 
 
 def resolve_manifold(spec: str) -> ManifoldModel:
     """A builtin name like S2xS1 or lens(5,1), otherwise a document path."""
     s = spec.strip()
-    if s in ("S3", "S2xS1", "T3"):
+    if s in BUILTIN_NAMES:
         return builtin(s)
     m = _BUILTIN_CALL.match(s)
     if m:
@@ -79,8 +79,6 @@ def _alpha_component(text: str, M: ManifoldModel) -> ClassLabel:
         found = M.class_by_id(cid)
         if found is not None:
             return found
-        if M.h1_rank == 0:
-            return ClassLabel(cid, HomologyClass1(()))
         raise ParseError(f"unknown class id {cid!r} (not in the model's class table)")
     try:
         coords = tuple(int(x) for x in t.split(","))
@@ -129,48 +127,38 @@ def _triple_str(t) -> str:
     return f"({t.e1},{t.e2},{t.e3})"
 
 
+def _index_text(idx: LinkIndex) -> str:
+    return f"eps'={_triple_str(idx.eps_prime)} eps={idx.eps} mu={idx.mu} eps2={idx.eps2}"
+
+
+def _index_json(idx: LinkIndex) -> dict:
+    return {"eps_prime": list(idx.eps_prime), "eps": idx.eps, "mu": idx.mu, "eps2": idx.eps2}
+
+
 # -- verbs ---------------------------------------------------------------------
-
-
-def _index_fields(M: ManifoldModel, alpha: LinkClass) -> dict:
-    t = epsilon_prime(M, alpha)
-    summands = {tag: summand(M, alpha, tag) for tag in MODULE_TAGS}
-    return {
-        "eps_prime": t,
-        "eps": epsilon(M, alpha),
-        "mu": mu_index(M, alpha),
-        "eps2": abs(t.e2),
-        "summands": summands,
-    }
 
 
 def cmd_index(args) -> list[str]:
     M = resolve_manifold(args.manifold)
     alpha = parse_alpha_spec(args.alpha, M)
-    f = _index_fields(M, alpha)
-    free_all = all(s.is_free for s in f["summands"].values())
+    idx = link_index(M, alpha)
+    summands = {tag: idx.summand(tag) for tag in MODULE_TAGS}
+    free_all = all(s.is_free for s in summands.values())
     if args.json:
         payload = {
             "manifold": M.name,
             "alpha": _alpha_json(alpha),
-            "eps_prime": list(f["eps_prime"]),
-            "eps": f["eps"],
-            "mu": f["mu"],
-            "eps2": f["eps2"],
+            **_index_json(idx),
             "summands": {
                 tag: {"relations": [p.render(" ") for p in s.relations], "free": s.is_free}
-                for tag, s in f["summands"].items()
+                for tag, s in summands.items()
             },
             "free_all": free_all,
         }
         return [json.dumps(payload, indent=2)]
-    lines = [
-        f"manifold: {M.name}",
-        f"alpha: {alpha.render()}",
-        f"eps'={_triple_str(f['eps_prime'])} eps={f['eps']} mu={f['mu']} eps2={f['eps2']}",
-    ]
+    lines = [f"manifold: {M.name}", f"alpha: {alpha.render()}", _index_text(idx)]
     for tag in MODULE_TAGS:
-        lines.append(f"{_TAG_LABEL[tag]}: {f['summands'][tag].render(' ')}")
+        lines.append(f"{_TAG_LABEL[tag]}: {summands[tag].render(' ')}")
     if free_all:
         lines.append("free in all four modules")
     return lines
@@ -199,8 +187,8 @@ def cmd_decompose(args) -> list[str]:
     alphas = _enumerate_alphas(M, args.bound)
     rows = []
     for alpha in alphas:
-        t = epsilon_prime(M, alpha)
-        rows.append((alpha, t, summand(M, alpha, args.module)))
+        idx = link_index(M, alpha)
+        rows.append((alpha, idx.eps_prime, idx.summand(args.module)))
     if args.json:
         payload = {
             "manifold": M.name,
@@ -234,12 +222,7 @@ def cmd_reduce(args) -> list[str]:
     if args.module != "sprime":
         element = element.specialize(args.module)
     alpha = trace.alpha
-    if element.terms:
-        coeff = element.terms[alpha]
-        exponents = next(iter(coeff.terms))
-    else:
-        # a monomial coefficient never reduces to zero, but stay defensive
-        exponents = (0, 0) if args.module == "sprime" else 0
+    exponents = next(iter(element.terms[alpha].terms))
     reduced_str = (
         f"({exponents[0]},{exponents[1]})" if args.module == "sprime" else str(exponents)
     )
@@ -261,10 +244,6 @@ def cmd_reduce(args) -> list[str]:
         f"reduced: {reduced_str}",
         f"element: {element.render(' ')}",
     ]
-
-
-def _vec_str(v) -> str:
-    return "[" + ",".join(str(x) for x in v) + "]"
 
 
 def cmd_freeness(args) -> list[str]:
@@ -311,8 +290,7 @@ def cmd_specialize(args) -> list[str]:
     poly_text, carrier = (text[:idx], text[idx:].strip()) if idx >= 0 else (text, "")
     poly = LaurentPoly2.parse(poly_text)
     target = args.module
-    smap = {"s": SPECIALIZE_S, "l": SPECIALIZE_L, "w": SPECIALIZE_W}[target]
-    result = poly.specialize(smap)
+    result = poly.specialize(_SPECIALIZE_BY_TAG[target])
     rendered = (result.render(" ") + (" " + carrier if carrier else "")).strip()
     if args.json:
         payload = {"module": target, "input": text, "result": rendered}
@@ -322,40 +300,30 @@ def cmd_specialize(args) -> list[str]:
 
 def cmd_table(args) -> list[str]:
     M = resolve_manifold(args.manifold)
-    try:
-        with open(args.alphas, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read alphas file {args.alphas}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"alphas file {args.alphas} is not valid JSON: {exc}")
+    doc = read_json(args.alphas, "alphas")
     if not isinstance(doc, list):
         raise ParseError("alphas file must hold a JSON array of class-ref arrays")
     alphas = [alpha_from_refs(refs, M) for refs in doc]
-    rows = [(alpha, _index_fields(M, alpha)) for alpha in alphas]
+    rows = []
+    for alpha in alphas:
+        idx = link_index(M, alpha)
+        rows.append((alpha, idx, idx.summand("sprime")))
     if args.json:
         payload = {
             "manifold": M.name,
             "rows": [
                 {
                     "alpha": _alpha_json(alpha),
-                    "eps_prime": list(f["eps_prime"]),
-                    "eps": f["eps"],
-                    "mu": f["mu"],
-                    "eps2": f["eps2"],
-                    "sprime_relations": [p.render(" ") for p in f["summands"]["sprime"].relations],
+                    **_index_json(idx),
+                    "sprime_relations": [p.render(" ") for p in s.relations],
                 }
-                for alpha, f in rows
+                for alpha, idx, s in rows
             ],
         }
         return [json.dumps(payload, indent=2)]
     lines = [f"manifold: {M.name}"]
-    for alpha, f in rows:
-        lines.append(
-            f"alpha={alpha.render()} eps'={_triple_str(f['eps_prime'])} "
-            f"eps={f['eps']} mu={f['mu']} eps2={f['eps2']} "
-            f"S'={f['summands']['sprime'].render(' ')}"
-        )
+    for alpha, idx, s in rows:
+        lines.append(f"alpha={alpha.render()} {_index_text(idx)} S'={s.render(' ')}")
     return lines
 
 

@@ -66,10 +66,6 @@ class ExponentLattice:
         )
         self.canon: tuple[int, int, int] = self._canonicalize()
 
-    @classmethod
-    def from_generators(cls, gens) -> ExponentLattice:
-        return cls(gens)
-
     def _canonicalize(self) -> tuple[int, int, int]:
         ua, ud, g = _eliminate(self.gens)
         if ud == 0:

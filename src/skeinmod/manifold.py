@@ -22,6 +22,7 @@ __all__ = [
     "model_from_document",
     "model_to_document",
     "load_model",
+    "read_json",
     "BUILTIN_NAMES",
 ]
 
@@ -196,9 +197,16 @@ class ManifoldModel:
         return self.sphere_gens
 
     def class_by_id(self, cid: str) -> ClassLabel | None:
+        """The class-table entry for cid, else None.
+
+        With h1_rank 0 every class has the trivial homology vector, so any
+        id not in the table is a valid label for it.
+        """
         for c in self.classes:
             if c.id == cid:
                 return c
+        if self.h1_rank == 0:
+            return ClassLabel(cid, HomologyClass1(()))
         return None
 
 
@@ -439,14 +447,25 @@ def model_to_document(m: ManifoldModel) -> dict:
     return doc
 
 
-def load_model(path: str) -> ManifoldModel:
+def read_json(path: str, what: str):
+    """Parse the JSON document at path; every failure is one ParseError.
+
+    what names the document in messages ("manifold", "trace", ...).
+    Malformed covers non-UTF-8 bytes, nesting too deep for the decoder and
+    integers past CPython's int/str digit limit.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read manifold file {path}: {exc}") from exc
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"manifold file {path} is not valid JSON: {exc}") from exc
-    return model_from_document(doc)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_model(path: str) -> ManifoldModel:
+    return model_from_document(read_json(path, "manifold"))

@@ -10,7 +10,6 @@ reduced modulo the relation ideal of their class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Union
@@ -24,12 +23,20 @@ from .laurent import (
     LaurentPoly1,
     LaurentPoly2,
 )
-from .manifold import ClassLabel, HomologyClass1, HomologyClass2, ManifoldModel
+from .manifold import (
+    ClassLabel,
+    HomologyClass1,
+    HomologyClass2,
+    ManifoldModel,
+    _is_int,
+    read_json,
+)
 
 __all__ = [
     "MODULE_TAGS",
     "LinkClass",
     "IndexTriple",
+    "LinkIndex",
     "WrithePair",
     "Twist",
     "SelfCross",
@@ -39,6 +46,7 @@ __all__ = [
     "SummandRelations",
     "SkeinElement",
     "gamma_prime",
+    "link_index",
     "epsilon_prime",
     "epsilon",
     "mu_index",
@@ -175,15 +183,7 @@ def gamma_prime(M: ManifoldModel, alpha: LinkClass) -> ExponentLattice:
     for c, rest in _component_rest(alpha, M.h1_rank):
         for t in M.torus_subgroup(c):
             gens.append((M.pairing_eval(t, c.h), M.pairing_eval(t, rest)))
-    return ExponentLattice.from_generators(gens)
-
-
-def epsilon_prime(M: ManifoldModel, alpha: LinkClass) -> IndexTriple:
-    return IndexTriple(*gamma_prime(M, alpha).index_triple())
-
-
-def epsilon(M: ManifoldModel, alpha: LinkClass) -> int:
-    return gamma_prime(M, alpha).sum_image()
+    return ExponentLattice(gens)
 
 
 def mu_index(M: ManifoldModel, alpha: LinkClass) -> int:
@@ -193,14 +193,6 @@ def mu_index(M: ManifoldModel, alpha: LinkClass) -> int:
         for s in M.sphere_subgroup():
             g = gcd(g, abs(M.pairing_eval(s, c.h)))
     return g
-
-
-def _cyclic_exponent(M: ManifoldModel, alpha: LinkClass, tag: str) -> int:
-    if tag == "s":
-        return epsilon(M, alpha)
-    if tag == "l":
-        return abs(epsilon_prime(M, alpha).e2)
-    return mu_index(M, alpha)
 
 
 @dataclass(frozen=True)
@@ -225,20 +217,56 @@ class SummandRelations:
         return f"{ring}/({inner})"
 
 
+class LinkIndex(NamedTuple):
+    """Every index of one link class, as integers.
+
+    eps_prime is the canonical triple of Gamma', eps = gcd(|e1+e2|, e3) the
+    generator of its image under (a, b) -> a + b, mu the sphere index and
+    eps2 = |e2|. The summand relations of each module follow from these.
+    """
+
+    eps_prime: IndexTriple
+    eps: int
+    mu: int
+    eps2: int
+
+    def exponent(self, module_tag: str) -> int:
+        """The p of the one-variable summand R/(q^(2p) - 1) for s, l or w."""
+        return {"s": self.eps, "l": self.eps2, "w": self.mu}[module_tag]
+
+    def summand(self, module_tag: str) -> SummandRelations:
+        tag = _check_tag(module_tag)
+        if tag == "sprime":
+            e1, e2, e3 = self.eps_prime
+            rels = []
+            if (e1, e2) != (0, 0):
+                rels.append(LaurentPoly2.monomial(2 * e1, 2 * e2) - LaurentPoly2.one())
+            if e3 != 0:
+                rels.append(LaurentPoly2.monomial(2 * e3, 0) - LaurentPoly2.one())
+            return SummandRelations("sprime", tuple(rels))
+        pe = self.exponent(tag)
+        if pe == 0:
+            return SummandRelations(tag, ())
+        return SummandRelations(tag, (LaurentPoly1.monomial(2 * pe) - LaurentPoly1.one(),))
+
+
+def link_index(M: ManifoldModel, alpha: LinkClass) -> LinkIndex:
+    """All indices of alpha from one build of Gamma' and one sphere gcd."""
+    lat = gamma_prime(M, alpha)
+    t = IndexTriple(*lat.index_triple())
+    return LinkIndex(t, lat.sum_image(), mu_index(M, alpha), abs(t.e2))
+
+
+def epsilon_prime(M: ManifoldModel, alpha: LinkClass) -> IndexTriple:
+    return link_index(M, alpha).eps_prime
+
+
+def epsilon(M: ManifoldModel, alpha: LinkClass) -> int:
+    return link_index(M, alpha).eps
+
+
 def summand(M: ManifoldModel, alpha: LinkClass, module_tag: str) -> SummandRelations:
-    tag = _check_tag(module_tag)
-    if tag == "sprime":
-        e1, e2, e3 = epsilon_prime(M, alpha)
-        rels = []
-        if (e1, e2) != (0, 0):
-            rels.append(LaurentPoly2.monomial(2 * e1, 2 * e2) - LaurentPoly2.one())
-        if e3 != 0:
-            rels.append(LaurentPoly2.monomial(2 * e3, 0) - LaurentPoly2.one())
-        return SummandRelations("sprime", tuple(rels))
-    pe = _cyclic_exponent(M, alpha, tag)
-    if pe == 0:
-        return SummandRelations(tag, ())
-    return SummandRelations(tag, (LaurentPoly1.monomial(2 * pe) - LaurentPoly1.one(),))
+    return link_index(M, alpha).summand(module_tag)
 
 
 def torsion_annihilator(M: ManifoldModel, alpha: LinkClass, module_tag: str):
@@ -249,10 +277,10 @@ def torsion_annihilator(M: ManifoldModel, alpha: LinkClass, module_tag: str):
     generators (empty when free).
     """
     tag = _check_tag(module_tag)
+    idx = link_index(M, alpha)
     if tag == "sprime":
-        return summand(M, alpha, tag).relations
-    pe = _cyclic_exponent(M, alpha, tag)
-    return LaurentPoly1.monomial(2 * pe) - LaurentPoly1.one()
+        return idx.summand(tag).relations
+    return LaurentPoly1.monomial(2 * idx.exponent(tag)) - LaurentPoly1.one()
 
 
 # -- skein elements ------------------------------------------------------------
@@ -262,7 +290,8 @@ def _reduce_coeff(M: ManifoldModel, alpha: LinkClass, tag: str, coeff):
     if tag == "sprime":
         if not isinstance(coeff, LaurentPoly2):
             raise ParseError("sprime coefficients use the two-variable ring")
-        lat = gamma_prime(M, alpha).doubled()
+        e1, e2, e3 = link_index(M, alpha).eps_prime
+        lat = ExponentLattice(((2 * e1, 2 * e2), (2 * e3, 0)))
         acc: dict = {}
         for e, c in coeff.terms.items():
             r = lat.reduce(e)
@@ -270,7 +299,7 @@ def _reduce_coeff(M: ManifoldModel, alpha: LinkClass, tag: str, coeff):
         return LaurentPoly2(acc)
     if not isinstance(coeff, LaurentPoly1):
         raise ParseError(f"{tag} coefficients use the one-variable ring")
-    pe = _cyclic_exponent(M, alpha, tag)
+    pe = link_index(M, alpha).exponent(tag)
     if pe == 0:
         return coeff
     mod = 2 * pe
@@ -493,19 +522,14 @@ def sphere_torus_discrepancies(M: ManifoldModel, alphas) -> list:
     """
     out = []
     for alpha in alphas:
-        t = epsilon_prime(M, alpha)
-        lhs = gcd(t.e1, t.e3)
-        rhs = mu_index(M, alpha)
-        if lhs != rhs:
-            out.append((alpha, lhs, rhs))
+        idx = link_index(M, alpha)
+        lhs = gcd(idx.eps_prime.e1, idx.eps_prime.e3)
+        if lhs != idx.mu:
+            out.append((alpha, lhs, idx.mu))
     return out
 
 
 # -- trace documents -------------------------------------------------------------
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _resolve_ref(M: ManifoldModel, ref, pos: int, problems: list) -> ClassLabel | None:
@@ -534,9 +558,6 @@ def _resolve_ref(M: ManifoldModel, ref, pos: int, problems: list) -> ClassLabel 
     found = M.class_by_id(cid)
     if found is not None:
         return found
-    if M.h1_rank == 0:
-        # every class has the trivial homology vector; any id is a valid label
-        return ClassLabel(cid, HomologyClass1(()))
     problems.append(f"alpha[{pos}]: unknown class id {cid!r} (not in the model's class table)")
     return None
 
@@ -598,19 +619,21 @@ def _parse_move(entry, pos: int, problems: list) -> Move | None:
     return Slide(vals["i"], vals["t"])
 
 
+def _resolve_refs(M: ManifoldModel, refs, where: str, problems: list) -> LinkClass:
+    if not isinstance(refs, list):
+        problems.append(f"{where} must be an array of class refs")
+        return LinkClass(())
+    labels = (_resolve_ref(M, ref, pos, problems) for pos, ref in enumerate(refs))
+    return LinkClass(tuple(label for label in labels if label is not None))
+
+
 def alpha_from_refs(refs, M: ManifoldModel) -> LinkClass:
     """Resolve an array of class refs ({id} from the table, or inline {id, h})."""
-    if not isinstance(refs, list):
-        raise ParseError("alpha must be an array of class refs")
     problems: list[str] = []
-    labels = []
-    for pos, ref in enumerate(refs):
-        label = _resolve_ref(M, ref, pos, problems)
-        if label is not None:
-            labels.append(label)
+    alpha = _resolve_refs(M, refs, "alpha", problems)
     if problems:
         raise ParseError("; ".join(problems))
-    return LinkClass(tuple(labels))
+    return alpha
 
 
 def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
@@ -621,15 +644,7 @@ def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
     for key in doc:
         if key not in ("alpha", "moves"):
             problems.append(f"unknown field {key!r}")
-    raw_alpha = doc.get("alpha")
-    labels = []
-    if not isinstance(raw_alpha, list):
-        problems.append("field 'alpha' must be an array of class refs")
-    else:
-        for pos, ref in enumerate(raw_alpha):
-            label = _resolve_ref(M, ref, pos, problems)
-            if label is not None:
-                labels.append(label)
+    alpha = _resolve_refs(M, doc.get("alpha"), "field 'alpha'", problems)
     raw_moves = doc.get("moves", [])
     moves = []
     if not isinstance(raw_moves, list):
@@ -641,17 +656,8 @@ def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
                 moves.append(mv)
     if problems:
         raise ParseError("; ".join(problems))
-    return MoveTrace(LinkClass(tuple(labels)), tuple(moves))
+    return MoveTrace(alpha, tuple(moves))
 
 
 def load_trace(path: str, M: ManifoldModel) -> MoveTrace:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read trace file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"trace file {path} is not valid JSON: {exc}") from exc
-    return trace_from_document(doc, M)
+    return trace_from_document(read_json(path, "trace"), M)

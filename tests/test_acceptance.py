@@ -207,7 +207,7 @@ def test_criterion_5_lattice_against_oracles():
         gens = [
             (rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(0, 4))
         ]
-        lat = ExponentLattice.from_generators(gens)
+        lat = ExponentLattice(gens)
         vs = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(6)]
         for _ in range(4):
             coeffs = [rng.randint(-6, 6) for _ in gens]

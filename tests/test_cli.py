@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from skeinmod import cli, skein
+
 GOLDEN = Path(__file__).parent / "golden" / "decompose_s2xs1_b2.txt"
 
 THREE_MOVE_TRACE = {
@@ -175,6 +177,31 @@ def test_table(tmp_path):
     assert "alpha=[id:k] eps'=(3,0,0) eps=3 mu=3 eps2=0 S'=R'/(q1^6 - 1)" in lines
 
 
+def test_gamma_prime_is_built_once_per_link_class(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = skein.gamma_prime
+
+    def counting(M, alpha):
+        calls.append(alpha)
+        return real(M, alpha)
+
+    monkeypatch.setattr(skein, "gamma_prime", counting)
+    refs = [[{"id": "1", "h": [1]}, {"id": "2", "h": [2]}], [{"id": "k", "h": [3]}], []]
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text(json.dumps(refs), encoding="utf-8")
+    for argv, classes in (
+        (["table", "--manifold", "S2xS1", "--alphas", str(alphas)], len(refs)),
+        (["index", "--manifold", "S2xS1", "--alpha", "[1,2]"], 1),
+        (["decompose", "--manifold", "S2xS1", "--bound", "2"], None),
+    ):
+        calls.clear()
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        if classes is None:
+            classes = sum(line.startswith("alpha=") for line in out.splitlines())
+        assert len(calls) == classes, argv
+
+
 def test_manifold_document_input(tmp_path):
     doc = {
         "name": "custom",
@@ -191,7 +218,13 @@ def test_manifold_document_input(tmp_path):
     assert "eps'=(2,0,0)" in res.stdout
 
 
-def test_parse_errors_exit_2():
+def test_parse_errors_exit_2(tmp_path):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "caf\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    huge = tmp_path / "huge.json"
+    huge.write_text('[[{"id": "1", "h": [' + "7" * 5000 + "]}]]", encoding="utf-8")
     cases = [
         ("index", "--manifold", "S2xS1", "--alpha", "oops"),
         ("index", "--manifold", "nosuchfile.json", "--alpha", "[1]"),
@@ -200,6 +233,11 @@ def test_parse_errors_exit_2():
         ("specialize", "wat + ", "--module", "s"),
         ("decompose", "--manifold", "S2xS1", "--bound", "-1"),
         ("index", "--manifold", "S2xS1", "--alpha", "[id:ghost]"),
+        ("index", "--manifold", str(not_utf8), "--alpha", "[]"),
+        ("reduce", "--manifold", "S2xS1", "--trace", str(not_utf8)),
+        ("table", "--manifold", "S2xS1", "--alphas", str(not_utf8)),
+        ("table", "--manifold", "S2xS1", "--alphas", str(deep)),
+        ("table", "--manifold", "S2xS1", "--alphas", str(huge)),
     ]
     for args in cases:
         res = run(*args)

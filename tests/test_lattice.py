@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import member_by_enumeration, member_by_invariants
 from skeinmod.lattice import ExponentLattice
 
-L = ExponentLattice.from_generators
+L = ExponentLattice
 
 
 def test_canonical_triple_frozen_examples():
