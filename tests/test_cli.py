@@ -7,7 +7,10 @@ from pathlib import Path
 
 from skeinmod import cli, skein
 
-GOLDEN = Path(__file__).parent / "golden" / "decompose_s2xs1_b2.txt"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "decompose_s2xs1_b2.txt"
+FIXTURE_MANIFOLD = GOLDEN_DIR / "fixture_manifold.json"
+FIXTURE_ALPHAS = GOLDEN_DIR / "fixture_alphas.json"
 
 THREE_MOVE_TRACE = {
     "alpha": [{"id": "1", "h": [1]}, {"id": "2", "h": [2]}],
@@ -61,6 +64,21 @@ def test_decompose_matches_golden_file():
     res = run("decompose", "--manifold", "S2xS1", "--bound", "2")
     assert res.returncode == 0
     assert res.stdout == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_json_output_matches_golden_files():
+    # entry key order and the torsion_tag key of every alpha entry are
+    # guarded only here; the other JSON tests compare field by field
+    for args, golden in (
+        (("decompose", "--manifold", "S2xS1", "--bound", "2"), "decompose_s2xs1_b2.json"),
+        (
+            ("table", "--manifold", str(FIXTURE_MANIFOLD), "--alphas", str(FIXTURE_ALPHAS)),
+            "table_fixture.json",
+        ),
+    ):
+        res = run(*args, "--json")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8"), golden
 
 
 def test_decompose_is_deterministic():
