@@ -20,10 +20,11 @@ from .laurent import LaurentPoly2
 from .manifold import (
     BUILTIN_NAMES,
     ClassLabel,
-    HomologyClass1,
     ManifoldModel,
     _vec_str,
     builtin,
+    class_to_entry,
+    int_digit_limit,
     load_model,
     read_json,
 )
@@ -32,6 +33,7 @@ from .skein import (
     MODULE_TAGS,
     LinkClass,
     LinkIndex,
+    _freeness_generators,
     alpha_from_refs,
     is_free,
     link_index,
@@ -72,57 +74,6 @@ def resolve_manifold(spec: str) -> ManifoldModel:
     return load_model(s)
 
 
-def _alpha_component(text: str, M: ManifoldModel) -> ClassLabel:
-    t = text.strip()
-    if t.startswith("id:"):
-        cid = t[3:].strip()
-        found = M.class_by_id(cid)
-        if found is not None:
-            return found
-        raise ParseError(f"unknown class id {cid!r} (not in the model's class table)")
-    try:
-        coords = tuple(int(x) for x in t.split(","))
-    except ValueError:
-        raise ParseError(f"bad alpha component {text!r}: expected integers or id:<name>")
-    if len(coords) != M.h1_rank:
-        raise DimensionError(
-            f"alpha component {t!r} has {len(coords)} coordinate(s), "
-            f"expected h1_rank = {M.h1_rank}"
-        )
-    return ClassLabel(",".join(str(x) for x in coords), HomologyClass1(coords))
-
-
-def parse_alpha_spec(text: str, M: ManifoldModel) -> LinkClass:
-    """Inline multiset spec: "[1,2]", "[id:beta, id:gamma]", "[1,0,0; 0,1,0]".
-
-    Components are separated by semicolons; when the model has h1_rank 1
-    (or the items are id refs) commas separate components too.
-    """
-    t = text.strip()
-    if not (t.startswith("[") and t.endswith("]")):
-        raise ParseError(f"alpha spec must be bracketed like [1,2], got {text!r}")
-    inner = t[1:-1].strip()
-    if not inner:
-        return LinkClass(())
-    if ";" in inner:
-        parts = [p for p in inner.split(";")]
-        return LinkClass(tuple(_alpha_component(p, M) for p in parts))
-    items = [p.strip() for p in inner.split(",")]
-    if any(it.startswith("id:") for it in items) or M.h1_rank == 1:
-        return LinkClass(tuple(_alpha_component(it, M) for it in items))
-    return LinkClass((_alpha_component(inner, M),))
-
-
-def _alpha_json(alpha: LinkClass) -> list:
-    out = []
-    for c in alpha.components:
-        entry = {"id": c.id, "h": list(c.h.free)}
-        if c.h.torsion_tag is not None:
-            entry["torsion_tag"] = c.h.torsion_tag
-        out.append(entry)
-    return out
-
-
 def _triple_str(t) -> str:
     return f"({t.e1},{t.e2},{t.e3})"
 
@@ -140,14 +91,14 @@ def _index_json(idx: LinkIndex) -> dict:
 
 def cmd_index(args) -> list[str]:
     M = resolve_manifold(args.manifold)
-    alpha = parse_alpha_spec(args.alpha, M)
+    alpha = LinkClass.parse(args.alpha, M)
     idx = link_index(M, alpha)
     summands = {tag: idx.summand(tag) for tag in MODULE_TAGS}
     free_all = all(s.is_free for s in summands.values())
     if args.json:
         payload = {
             "manifold": M.name,
-            "alpha": _alpha_json(alpha),
+            "alpha": [class_to_entry(c) for c in alpha.components],
             **_index_json(idx),
             "summands": {
                 tag: {"relations": [p.render(" ") for p in s.relations], "free": s.is_free}
@@ -167,16 +118,11 @@ def cmd_index(args) -> list[str]:
 def _enumerate_alphas(M: ManifoldModel, bound: int) -> list[LinkClass]:
     """All multisets of size <= bound over classes with coordinates in [-bound, bound],
     ordered by size then lexicographically."""
-    singles: list[ClassLabel] = []
-    if M.h1_rank >= 1:
-        coords = range(-bound, bound + 1)
-        for vec in itertools.product(coords, repeat=M.h1_rank):
-            singles.append(ClassLabel(",".join(str(x) for x in vec), HomologyClass1(vec)))
-        singles.sort(key=lambda c: c.sort_key())
+    vecs = itertools.product(range(-bound, bound + 1), repeat=M.h1_rank) if M.h1_rank else ()
+    singles = sorted(map(ClassLabel.coordinate, vecs), key=ClassLabel.sort_key)
     out = [LinkClass(())]
     for size in range(1, bound + 1):
-        for combo in itertools.combinations_with_replacement(singles, size):
-            out.append(LinkClass(combo))
+        out.extend(map(LinkClass, itertools.combinations_with_replacement(singles, size)))
     return out
 
 
@@ -196,7 +142,7 @@ def cmd_decompose(args) -> list[str]:
             "bound": args.bound,
             "rows": [
                 {
-                    "alpha": _alpha_json(alpha),
+                    "alpha": [class_to_entry(c) for c in alpha.components],
                     "eps_prime": list(t),
                     "relations": [p.render(" ") for p in s.relations],
                     "free": s.is_free,
@@ -229,7 +175,7 @@ def cmd_reduce(args) -> list[str]:
     if args.json:
         payload = {
             "manifold": M.name,
-            "alpha": _alpha_json(alpha),
+            "alpha": [class_to_entry(c) for c in alpha.components],
             "module": args.module,
             "raw": [raw.w1, raw.w2],
             "reduced": list(exponents) if args.module == "sprime" else exponents,
@@ -251,13 +197,7 @@ def cmd_freeness(args) -> list[str]:
     free, witness = is_free(M, args.module)
     kind = "sphere" if args.module == "w" else "torus"
     if free:
-        if args.module == "w":
-            has_gens = bool(M.sphere_subgroup())
-        else:
-            has_gens = bool(
-                M.torus_default or M.torus_exceptions or M.torus_rule is not None
-            )
-        if not has_gens:
+        if not _freeness_generators(M, args.module):
             reason = f"no {kind} classes"
         elif M.h1_rank == 0:
             reason = "no homology to pair against"
@@ -274,12 +214,7 @@ def cmd_freeness(args) -> list[str]:
     if args.json:
         payload = {"manifold": M.name, "module": args.module, "free": free}
         if witness is not None:
-            t, e = witness
-            payload["witness"] = {
-                "generator": list(t.vec),
-                "class": list(e.free),
-                "pairing": M.pairing_eval(t, e),
-            }
+            payload["witness"] = {"generator": list(t.vec), "class": list(e.free), "pairing": val}
         return [json.dumps(payload, indent=2)]
     return [f"manifold: {M.name}", f"module: {args.module}", verdict]
 
@@ -313,7 +248,7 @@ def cmd_table(args) -> list[str]:
             "manifold": M.name,
             "rows": [
                 {
-                    "alpha": _alpha_json(alpha),
+                    "alpha": [class_to_entry(c) for c in alpha.components],
                     **_index_json(idx),
                     "sprime_relations": [p.render(" ") for p in s.relations],
                 }
@@ -384,7 +319,9 @@ def _one_line(exc) -> str:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        lines = args.func(args)
+        # exact results may pass CPython's int/str digit limit; --bound and documents keep it
+        with int_digit_limit(0):
+            lines = args.func(args)
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
     except _UsageError as exc:

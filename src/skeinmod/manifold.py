@@ -9,6 +9,8 @@ sphere subgroup generators. Everything downstream consumes only this data.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import DimensionError, ParseError
@@ -21,8 +23,11 @@ __all__ = [
     "builtin",
     "model_from_document",
     "model_to_document",
+    "class_from_entry",
+    "class_to_entry",
     "load_model",
     "read_json",
+    "int_digit_limit",
     "BUILTIN_NAMES",
 ]
 
@@ -68,6 +73,16 @@ class ClassLabel:
 
     def sort_key(self):
         return (_id_collation(self.id), self.h.free, self.h.torsion_tag or "")
+
+    @staticmethod
+    def coordinate_id(free) -> str:
+        """The id of a class's coordinate label: its coordinates joined by commas."""
+        return ",".join(str(x) for x in free)
+
+    @classmethod
+    def coordinate(cls, free) -> "ClassLabel":
+        """The class with these coordinates, labelled by them: (1,-2) gets id "1,-2"."""
+        return cls(cls.coordinate_id(free), HomologyClass1(tuple(free)))
 
 
 def _vec_str(v) -> str:
@@ -197,17 +212,22 @@ class ManifoldModel:
         return self.sphere_gens
 
     def class_by_id(self, cid: str) -> ClassLabel | None:
-        """The class-table entry for cid, else None.
+        """The class-table entry for cid, else the class cid spells, else None.
 
-        With h1_rank 0 every class has the trivial homology vector, so any
-        id not in the table is a valid label for it.
+        With h1_rank 0 every class has the trivial homology vector, so any id
+        names it. Otherwise an id that is exactly a coordinate label with
+        h1_rank entries ("1,-2", not "01" or "+1") names that class.
         """
         for c in self.classes:
             if c.id == cid:
                 return c
         if self.h1_rank == 0:
             return ClassLabel(cid, HomologyClass1(()))
-        return None
+        try:
+            label = ClassLabel.coordinate([int(x) for x in cid.split(",")])
+        except ValueError:
+            return None
+        return label if label.id == cid and len(label.h.free) == self.h1_rank else None
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +315,46 @@ def _check_vector(v, path, parse_msgs):
     return tuple(v)
 
 
+def class_from_entry(entry, where: str, problems: list, model=None) -> ClassLabel | None:
+    """Read one {id, h, torsion_tag} object; None when it has a fault.
+
+    Faults go to problems, named by where ("classes[0]", "alpha[2]"). Without
+    a model h is required (a class-table entry); with one, an entry without h
+    is the class model.class_by_id(id) names.
+    """
+    if not isinstance(entry, dict):
+        problems.append(f"{where} must be an object")
+        return None
+    for key in entry:
+        if key not in ("id", "h", "torsion_tag"):
+            problems.append(f"{where} has unknown field {key!r}")
+    cid = entry.get("id")
+    if not isinstance(cid, str):
+        problems.append(f"{where} field 'id' must be a string")
+        return None
+    tag = entry.get("torsion_tag")
+    if tag is not None and not isinstance(tag, str):
+        problems.append(f"{where} field 'torsion_tag' must be a string")
+        tag = None
+    if model is None or "h" in entry:
+        h = _check_vector(entry.get("h"), f"{where}.h", problems)
+        return None if h is None else ClassLabel(cid, HomologyClass1(h, tag))
+    if tag is not None:
+        problems.append(f"{where}: 'torsion_tag' needs an inline 'h'")
+    found = model.class_by_id(cid)
+    if found is None:
+        problems.append(f"{where}: unknown class id {cid!r} (not in the model's class table)")
+    return found
+
+
+def class_to_entry(c: ClassLabel) -> dict:
+    """The {id, h, torsion_tag} object class_from_entry reads back as c."""
+    entry = {"id": c.id, "h": list(c.h.free)}
+    if c.h.torsion_tag is not None:
+        entry["torsion_tag"] = c.h.torsion_tag
+    return entry
+
+
 def model_from_document(doc) -> ManifoldModel:
     """Build a model from a parsed JSON document, aggregating all problems.
 
@@ -365,34 +425,17 @@ def model_from_document(doc) -> ManifoldModel:
         parse_msgs.append(f"field 'torus_rule' must be absent or 'sweep', got {torus_rule!r}")
         torus_rule = None
 
-    classes = []
+    classes: dict[str, ClassLabel] = {}
     raw_classes = doc.get("classes", [])
     if not isinstance(raw_classes, list):
         parse_msgs.append("field 'classes' must be an array")
         raw_classes = []
-    seen_ids = set()
     for i, entry in enumerate(raw_classes):
-        if not isinstance(entry, dict):
-            parse_msgs.append(f"classes[{i}] must be an object")
-            continue
-        for key in entry:
-            if key not in ("id", "h", "torsion_tag"):
-                parse_msgs.append(f"classes[{i}] has unknown field {key!r}")
-        cid = entry.get("id")
-        if not isinstance(cid, str):
-            parse_msgs.append(f"classes[{i}] field 'id' must be a string")
-            continue
-        if cid in seen_ids:
-            parse_msgs.append(f"duplicate class id {cid!r}")
-            continue
-        seen_ids.add(cid)
-        h = _check_vector(entry.get("h"), f"classes[{i}].h", parse_msgs)
-        tag = entry.get("torsion_tag")
-        if tag is not None and not isinstance(tag, str):
-            parse_msgs.append(f"classes[{i}] field 'torsion_tag' must be a string")
-            tag = None
-        if h is not None:
-            classes.append(ClassLabel(cid, HomologyClass1(h, tag)))
+        c = class_from_entry(entry, f"classes[{i}]", parse_msgs)
+        if c is not None and c.id in classes:
+            parse_msgs.append(f"duplicate class id {c.id!r}")
+        elif c is not None:
+            classes[c.id] = c
 
     boundary_note = doc.get("boundary_note", "")
     if not isinstance(boundary_note, str):
@@ -411,7 +454,7 @@ def model_from_document(doc) -> ManifoldModel:
         torus_exceptions=tuple(exceptions),
         torus_rule=torus_rule,
         sphere_gens=sphere_gens,
-        classes=tuple(classes),
+        classes=tuple(classes.values()),
         boundary_note=boundary_note,
     )
 
@@ -435,16 +478,24 @@ def model_to_document(m: ManifoldModel) -> dict:
     if m.sphere_gens:
         doc["sphere_gens"] = [list(s.vec) for s in m.sphere_gens]
     if m.classes:
-        entries = []
-        for c in m.classes:
-            entry = {"id": c.id, "h": list(c.h.free)}
-            if c.h.torsion_tag is not None:
-                entry["torsion_tag"] = c.h.torsion_tag
-            entries.append(entry)
-        doc["classes"] = entries
+        doc["classes"] = [class_to_entry(c) for c in m.classes]
     if m.boundary_note:
         doc["boundary_note"] = m.boundary_note
     return doc
+
+
+@contextmanager
+def int_digit_limit(digits: int):
+    """Set CPython's int/str conversion limit to digits (0: none) inside the
+    block; a no-op on Pythons before 3.10.7, which have no limit."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 def read_json(path: str, what: str):
@@ -452,7 +503,8 @@ def read_json(path: str, what: str):
 
     what names the document in messages ("manifold", "trace", ...).
     Malformed covers non-UTF-8 bytes, nesting too deep for the decoder and
-    integers past CPython's int/str digit limit.
+    integers longer than 4300 digits, CPython's default int/str limit, kept
+    for documents even where a caller lifts it (the command line does).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -462,7 +514,8 @@ def read_json(path: str, what: str):
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
     try:
-        return json.loads(text)
+        with int_digit_limit(4300):
+            return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"{what} file {path} is not valid JSON: {exc}") from exc
 

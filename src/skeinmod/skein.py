@@ -29,6 +29,7 @@ from .manifold import (
     HomologyClass2,
     ManifoldModel,
     _is_int,
+    class_from_entry,
     read_json,
 )
 
@@ -96,7 +97,7 @@ class LinkClass:
         parts = []
         vectors_only = True
         for c in self.components:
-            coord = ",".join(str(x) for x in c.h.free)
+            coord = ClassLabel.coordinate_id(c.h.free)
             if c.id == coord and c.h.torsion_tag is None:
                 parts.append(coord)
             else:
@@ -105,6 +106,44 @@ class LinkClass:
         if parts and vectors_only and all(len(c.h.free) == 1 for c in self.components):
             return "[" + ",".join(parts) + "]"
         return "[" + "; ".join(parts) + "]"
+
+    @classmethod
+    def parse(cls, text: str, M: ManifoldModel) -> "LinkClass":
+        """Read a bracketed multiset: "[1,2]", "[id:beta, id:gamma]", "[1,0,0; 0,1,0]".
+
+        Semicolons separate components, and so do commas when h1_rank is 1 or
+        the items are id:<name> refs, which resolve through M.class_by_id.
+        """
+        t = text.strip()
+        if not (t.startswith("[") and t.endswith("]")):
+            raise ParseError(f"alpha spec must be bracketed like [1,2], got {text!r}")
+        inner = t[1:-1].strip()
+        if not inner:
+            return cls(())
+        items = [p.strip() for p in inner.split(",")]
+        if ";" in inner or not (M.h1_rank == 1 or any(it.startswith("id:") for it in items)):
+            items = inner.split(";")
+        labels = []
+        for item in items:
+            part = item.strip()
+            if part.startswith("id:"):
+                cid = part[3:].strip()
+                found = M.class_by_id(cid)
+                if found is None:
+                    raise ParseError(f"unknown class id {cid!r} (not in the model's class table)")
+                labels.append(found)
+                continue
+            try:
+                coords = tuple(int(x) for x in part.split(","))
+            except ValueError:
+                raise ParseError(f"bad alpha component {item!r}: expected integers or id:<name>")
+            if len(coords) != M.h1_rank:
+                raise DimensionError(
+                    f"alpha component {part!r} has {len(coords)} coordinate(s), "
+                    f"expected h1_rank = {M.h1_rank}"
+                )
+            labels.append(ClassLabel.coordinate(coords))
+        return cls(tuple(labels))
 
 
 class IndexTriple(NamedTuple):
@@ -484,7 +523,10 @@ def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinEl
 # -- freeness and consistency ----------------------------------------------------
 
 
-def _all_torus_generators(M: ManifoldModel):
+def _freeness_generators(M: ManifoldModel, module_tag: str) -> list:
+    """The generators is_free scans: sphere ones for w, else every torus one."""
+    if _check_tag(module_tag) == "w":
+        return list(M.sphere_subgroup())
     gens = list(M.torus_default)
     for _cid, vecs in M.torus_exceptions:
         gens.extend(vecs)
@@ -503,9 +545,7 @@ def is_free(M: ManifoldModel, module_tag: str):
     vector of H1. On failure returns (False, (t, e_k)) with a nonzero
     pairing as witness.
     """
-    tag = _check_tag(module_tag)
-    gens = list(M.sphere_subgroup()) if tag == "w" else _all_torus_generators(M)
-    for t in gens:
+    for t in _freeness_generators(M, module_tag):
         for k in range(M.h1_rank):
             e = HomologyClass1(tuple(1 if j == k else 0 for j in range(M.h1_rank)))
             if M.pairing_eval(t, e) != 0:
@@ -530,36 +570,6 @@ def sphere_torus_discrepancies(M: ManifoldModel, alphas) -> list:
 
 
 # -- trace documents -------------------------------------------------------------
-
-
-def _resolve_ref(M: ManifoldModel, ref, pos: int, problems: list) -> ClassLabel | None:
-    if not isinstance(ref, dict):
-        problems.append(f"alpha[{pos}] must be an object")
-        return None
-    for key in ref:
-        if key not in ("id", "h", "torsion_tag"):
-            problems.append(f"alpha[{pos}] has unknown field {key!r}")
-    cid = ref.get("id")
-    if not isinstance(cid, str):
-        problems.append(f"alpha[{pos}] field 'id' must be a string")
-        return None
-    tag = ref.get("torsion_tag")
-    if tag is not None and not isinstance(tag, str):
-        problems.append(f"alpha[{pos}] field 'torsion_tag' must be a string")
-        tag = None
-    if "h" in ref:
-        h = ref["h"]
-        if not isinstance(h, list) or not all(_is_int(x) for x in h):
-            problems.append(f"alpha[{pos}].h must be an array of integers")
-            return None
-        return ClassLabel(cid, HomologyClass1(tuple(h), tag))
-    if tag is not None:
-        problems.append(f"alpha[{pos}]: 'torsion_tag' needs an inline 'h'")
-    found = M.class_by_id(cid)
-    if found is not None:
-        return found
-    problems.append(f"alpha[{pos}]: unknown class id {cid!r} (not in the model's class table)")
-    return None
 
 
 _MOVE_FIELDS = {
@@ -623,7 +633,7 @@ def _resolve_refs(M: ManifoldModel, refs, where: str, problems: list) -> LinkCla
     if not isinstance(refs, list):
         problems.append(f"{where} must be an array of class refs")
         return LinkClass(())
-    labels = (_resolve_ref(M, ref, pos, problems) for pos, ref in enumerate(refs))
+    labels = (class_from_entry(r, f"alpha[{pos}]", problems, M) for pos, r in enumerate(refs))
     return LinkClass(tuple(label for label in labels if label is not None))
 
 

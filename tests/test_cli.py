@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from skeinmod import cli, skein
+from skeinmod import builtin, cli, skein
+from skeinmod.skein import LinkClass, alpha_from_refs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "decompose_s2xs1_b2.txt"
@@ -137,6 +138,19 @@ def test_reduce_slide_only_and_empty(tmp_path):
     res = run("reduce", "--manifold", "S2xS1", "--trace", str(empty))
     assert "raw: (0,0)" in res.stdout
     assert "element: 1 [x_[1]]" in res.stdout
+    # w1 = 2 * t * h has 5999 digits, past CPython's default int/str limit
+    big = "1" + "0" * 2999
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"alpha": [{"id": "a", "h": [%s]}], '
+        '"moves": [{"type": "slide", "i": 1, "t": [%s]}]}' % (big, big),
+        encoding="utf-8",
+    )
+    for module in ("sprime", "s"):
+        res = run("reduce", "--manifold", "S2xS1", "--trace", str(huge), "--module", module)
+        assert res.returncode == 0, res.stderr
+        assert f"raw: (2{'0' * 5998},0)" in res.stdout.splitlines()
+        assert "element: 1 [x_[id:a]]" in res.stdout
 
 
 def test_reduce_json(tmp_path):
@@ -149,7 +163,7 @@ def test_reduce_json(tmp_path):
     assert payload["element"] == "q1^3 [x_[1,2]]"
 
 
-def test_freeness_reports():
+def test_freeness_reports(tmp_path):
     res = run("freeness", "--manifold", "S2xS1", "--module", "s")
     assert res.returncode == 0
     assert "NOT free; witness torus [1] pairs 1 with class [1]" in res.stdout
@@ -159,6 +173,17 @@ def test_freeness_reports():
     assert "NOT free; witness torus" in res.stdout
     res = run("freeness", "--manifold", "S3", "--module", "sprime")
     assert "free (no torus classes)" in res.stdout
+    # an exception list with no generators is still no torus class
+    empty_exc = tmp_path / "empty_exc.json"
+    empty_exc.write_text(
+        json.dumps(
+            {"name": "X", "h1_rank": 1, "h2_rank": 1, "pairing": [[1]],
+             "torus_exceptions": {"a": []}}
+        ),
+        encoding="utf-8",
+    )
+    res = run("freeness", "--manifold", str(empty_exc), "--module", "s")
+    assert res.stdout.splitlines()[-1] == "free (no torus classes)"
     res = run("freeness", "--manifold", "S2xS1", "--module", "w", "--json")
     payload = json.loads(res.stdout)
     assert payload["free"] is False
@@ -193,6 +218,54 @@ def test_table(tmp_path):
     lines = res.stdout.splitlines()
     assert "alpha=[1,2] eps'=(2,1,3) eps=3 mu=1 eps2=1 S'=R'/(q1^4 q2^2 - 1, q1^6 - 1)" in lines
     assert "alpha=[id:k] eps'=(3,0,0) eps=3 mu=3 eps2=0 S'=R'/(q1^6 - 1)" in lines
+
+
+def _main_out(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_class_refs_agree_across_verbs(tmp_path, capsys):
+    # every decompose row: its text alpha is the render of its JSON alpha,
+    # the bracket reader gives that class back, and table agrees on eps'
+    for name, bound in (("S2xS1", 2), ("T3", 1)):
+        M = builtin(name)
+        args = ("decompose", "--manifold", name, "--bound", str(bound))
+        text_rows = [l for l in _main_out(capsys, *args).splitlines() if l.startswith("alpha=")]
+        rows = json.loads(_main_out(capsys, *args, "--json"))["rows"]
+        assert len(rows) == len(text_rows)
+        for row, line in zip(rows, text_rows):
+            alpha = alpha_from_refs(row["alpha"], M)
+            assert line.startswith(f"alpha={alpha.render()} ")
+            assert LinkClass.parse(alpha.render(), M) == alpha
+        alphas = tmp_path / f"{name}.json"
+        alphas.write_text(json.dumps([row["alpha"] for row in rows]), encoding="utf-8")
+        table = json.loads(_main_out(capsys, "table", "--manifold", name, "--alphas", str(alphas),
+                                     "--json"))["rows"]
+        assert [t["eps_prime"] for t in table] == [row["eps_prime"] for row in rows]
+    # on S2xS1 the coordinate label "1" needs no class-table entry
+    index = _main_out(capsys, "index", "--manifold", "S2xS1", "--alpha", "[1]")
+    assert _main_out(capsys, "index", "--manifold", "S2xS1", "--alpha", "[id:1]") == index
+    outputs = []  # table and reduce, text and JSON, for an inline and a bare ref
+    for ref in ({"id": "1", "h": [1]}, {"id": "1"}):
+        alphas = tmp_path / "one.json"
+        alphas.write_text(json.dumps([[ref]]), encoding="utf-8")
+        trace = tmp_path / "one_trace.json"
+        trace.write_text(
+            json.dumps({"alpha": [ref], "moves": [{"type": "twist", "i": 1, "s": 1}]}),
+            encoding="utf-8",
+        )
+        outputs.append([
+            _main_out(capsys, "table", "--manifold", "S2xS1", "--alphas", str(alphas), *flag)
+            for flag in ((), ("--json",))
+        ] + [
+            _main_out(capsys, "reduce", "--manifold", "S2xS1", "--trace", str(trace), *flag)
+            for flag in ((), ("--json",))
+        ])
+    assert outputs[0] == outputs[1]
+    table_text, _, reduce_text, _ = outputs[1]
+    assert table_text.splitlines()[1].startswith(f"alpha=[1] {index.splitlines()[2]} ")
+    assert "alpha: [1]" in reduce_text.splitlines()
 
 
 def test_gamma_prime_is_built_once_per_link_class(tmp_path, monkeypatch, capsys):
@@ -243,6 +316,19 @@ def test_parse_errors_exit_2(tmp_path):
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     huge = tmp_path / "huge.json"
     huge.write_text('[[{"id": "1", "h": [' + "7" * 5000 + "]}]]", encoding="utf-8")
+    # ids that read as coordinates but are not the canonical coordinate label
+    odd_refs = [{"id": cid} for cid in ("01", "+1", " 1", "-0", "1,2")]
+    odd_ids = tmp_path / "odd_ids.json"
+    odd_ids.write_text(json.dumps([odd_refs]), encoding="utf-8")
+    odd_trace = tmp_path / "odd_trace.json"
+    odd_trace.write_text(json.dumps({"alpha": odd_refs, "moves": []}), encoding="utf-8")
+    unknown_ids = [
+        ("index", "--manifold", "S2xS1", "--alpha", "[id:01]"),
+        ("index", "--manifold", "S2xS1", "--alpha", "[id:-0]"),
+        ("index", "--manifold", "T3", "--alpha", "[id:1,0]"),
+        ("table", "--manifold", "S2xS1", "--alphas", str(odd_ids)),
+        ("reduce", "--manifold", "S2xS1", "--trace", str(odd_trace)),
+    ]
     cases = [
         ("index", "--manifold", "S2xS1", "--alpha", "oops"),
         ("index", "--manifold", "nosuchfile.json", "--alpha", "[1]"),
@@ -256,6 +342,7 @@ def test_parse_errors_exit_2(tmp_path):
         ("table", "--manifold", "S2xS1", "--alphas", str(not_utf8)),
         ("table", "--manifold", "S2xS1", "--alphas", str(deep)),
         ("table", "--manifold", "S2xS1", "--alphas", str(huge)),
+        *unknown_ids,
     ]
     for args in cases:
         res = run(*args)
@@ -263,6 +350,11 @@ def test_parse_errors_exit_2(tmp_path):
         assert res.stderr.startswith("error:parse:"), res.stderr
         assert res.stdout == ""
         assert len(res.stderr.strip().splitlines()) == 1
+        if args in unknown_ids or "[id:ghost]" in args:
+            assert "unknown class id" in res.stderr, args
+        if str(odd_ids) in args or str(odd_trace) in args:
+            for pos, ref in enumerate(odd_refs):
+                assert f"alpha[{pos}]: unknown class id {ref['id']!r}" in res.stderr
 
 
 def test_dimension_errors_exit_3(tmp_path):

@@ -18,6 +18,7 @@ from skeinmod.manifold import (
     model_from_document,
     model_to_document,
 )
+from skeinmod.skein import alpha_from_refs
 
 
 def _label(cid, coords, tag=None):
@@ -204,12 +205,23 @@ def test_document_with_classes_and_exceptions():
         "classes": [
             {"id": "beta", "h": [1]},
             {"id": "gamma", "h": [1], "torsion_tag": "t"},
+            {"id": "7", "h": [5]},
         ],
     }
     m = model_from_document(doc)
     assert m.class_by_id("beta") == _label("beta", (1,))
     assert m.class_by_id("gamma") == _label("gamma", (1,), "t")
     assert m.class_by_id("nope") is None
+    # a table entry wins over the coordinate label its id spells
+    assert m.class_by_id("7") == _label("7", (5,))
+    # any other id that is exactly a coordinate label names that class
+    assert m.class_by_id("-3") == ClassLabel.coordinate((-3,)) == _label("-3", (-3,))
+    for cid in ("01", "+1", " 1", "1 ", "-0", "1_0", "1,2", "", ","):
+        assert m.class_by_id(cid) is None, cid
+    hb = builtin("handlebody", 2)
+    assert hb.class_by_id("1,-2") == _label("1,-2", (1, -2))
+    for cid in ("1", "1,-2,0", "1, -2", "1,-02"):
+        assert hb.class_by_id(cid) is None, cid
     assert m.torus_subgroup(m.class_by_id("beta")) == (HomologyClass2((2,)),)
     assert model_from_document(model_to_document(m)) == m
 
@@ -256,6 +268,39 @@ def test_document_aggregates_parse_problems():
         model_from_document(doc)
     msg = str(exc.value)
     assert "'name'" in msg and "h1_rank" in msg and "mystery" in msg
+
+
+def test_class_entry_single_fault_messages():
+    # the class table and class refs read entries through one reader; each
+    # lone fault keeps its exact message under either prefix
+    base = {"name": "X", "h1_rank": 1, "h2_rank": 0, "pairing": []}
+    for entry, message in (
+        ("nope", "classes[0] must be an object"),
+        ({"id": "a", "h": [1], "zz": 1}, "classes[0] has unknown field 'zz'"),
+        ({"h": [1]}, "classes[0] field 'id' must be a string"),
+        ({"id": "a"}, "classes[0].h must be an array of integers"),
+        ({"id": "a", "h": [1.5]}, "classes[0].h must be an array of integers"),
+        (
+            {"id": "a", "h": [1], "torsion_tag": 4},
+            "classes[0] field 'torsion_tag' must be a string",
+        ),
+    ):
+        with pytest.raises(ParseError) as exc:
+            model_from_document({**base, "classes": [entry]})
+        assert str(exc.value) == message
+    M = builtin("S2xS1")
+    for ref, message in (
+        ("x", "alpha[0] must be an object"),
+        ({"id": "a", "h": [1], "zz": 1}, "alpha[0] has unknown field 'zz'"),
+        ({"id": 3}, "alpha[0] field 'id' must be a string"),
+        ({"id": "a", "h": "x"}, "alpha[0].h must be an array of integers"),
+        ({"id": "a", "h": [1], "torsion_tag": 5}, "alpha[0] field 'torsion_tag' must be a string"),
+        ({"id": "1", "torsion_tag": "t"}, "alpha[0]: 'torsion_tag' needs an inline 'h'"),
+        ({"id": "ghost"}, "alpha[0]: unknown class id 'ghost' (not in the model's class table)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            alpha_from_refs([ref], M)
+        assert str(exc.value) == message
 
 
 def test_document_rejects_duplicate_class_ids():
