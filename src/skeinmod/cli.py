@@ -86,6 +86,10 @@ def _index_json(idx: LinkIndex) -> dict:
     return {"eps_prime": list(idx.eps_prime), "eps": idx.eps, "mu": idx.mu, "eps2": idx.eps2}
 
 
+def _summand_json(s) -> dict:
+    return {"relations": [p.render(" ") for p in s.relations], "free": s.is_free}
+
+
 # -- verbs ---------------------------------------------------------------------
 
 
@@ -100,10 +104,7 @@ def cmd_index(args) -> list[str]:
             "manifold": M.name,
             "alpha": [class_to_entry(c) for c in alpha.components],
             **_index_json(idx),
-            "summands": {
-                tag: {"relations": [p.render(" ") for p in s.relations], "free": s.is_free}
-                for tag, s in summands.items()
-            },
+            "summands": {tag: _summand_json(s) for tag, s in summands.items()},
             "free_all": free_all,
         }
         return [json.dumps(payload, indent=2)]
@@ -115,26 +116,30 @@ def cmd_index(args) -> list[str]:
     return lines
 
 
-def _enumerate_alphas(M: ManifoldModel, bound: int) -> list[LinkClass]:
+def _enumerate_alphas(M: ManifoldModel, bound: int):
     """All multisets of size <= bound over classes with coordinates in [-bound, bound],
     ordered by size then lexicographically."""
-    vecs = itertools.product(range(-bound, bound + 1), repeat=M.h1_rank) if M.h1_rank else ()
+    yield LinkClass(())
+    if M.h1_rank == 0:
+        return
+    vecs = itertools.product(range(-bound, bound + 1), repeat=M.h1_rank)
     singles = sorted(map(ClassLabel.coordinate, vecs), key=ClassLabel.sort_key)
-    out = [LinkClass(())]
     for size in range(1, bound + 1):
-        out.extend(map(LinkClass, itertools.combinations_with_replacement(singles, size)))
-    return out
+        yield from map(LinkClass, itertools.combinations_with_replacement(singles, size))
 
 
 def cmd_decompose(args) -> list[str]:
     M = resolve_manifold(args.manifold)
     if args.bound < 0:
         raise ParseError(f"bound must be >= 0, got {args.bound}")
-    alphas = _enumerate_alphas(M, args.bound)
-    rows = []
-    for alpha in alphas:
-        idx = link_index(M, alpha)
-        rows.append((alpha, idx.eps_prime, idx.summand(args.module)))
+    # (2B+1)^rank single classes; the bit lengths decide unless the power is small
+    side, rank = 2 * args.bound + 1, M.h1_rank
+    if rank * (side.bit_length() - 1) >= sys.maxsize.bit_length() or side**rank > sys.maxsize:
+        raise ParseError(
+            f"bound {args.bound} on h1_rank {rank} gives (2*bound+1)^h1_rank "
+            f"single classes, more than {sys.maxsize}"
+        )
+    indexed = ((alpha, link_index(M, alpha)) for alpha in _enumerate_alphas(M, args.bound))
     if args.json:
         payload = {
             "manifold": M.name,
@@ -143,21 +148,19 @@ def cmd_decompose(args) -> list[str]:
             "rows": [
                 {
                     "alpha": [class_to_entry(c) for c in alpha.components],
-                    "eps_prime": list(t),
-                    "relations": [p.render(" ") for p in s.relations],
-                    "free": s.is_free,
+                    "eps_prime": list(idx.eps_prime),
+                    **_summand_json(idx.summand(args.module)),
                 }
-                for alpha, t, s in rows
+                for alpha, idx in indexed
             ],
         }
         return [json.dumps(payload, indent=2)]
-    lines = [
-        f"manifold: {M.name}",
-        f"module: {args.module}",
-        f"bound: {args.bound}",
-    ]
-    for alpha, t, s in rows:
-        lines.append(f"alpha={alpha.render()} eps'={_triple_str(t)} {s.render(' ')}")
+    lines = [f"manifold: {M.name}", f"module: {args.module}", f"bound: {args.bound}"]
+    lines.extend(
+        f"alpha={alpha.render()} eps'={_triple_str(idx.eps_prime)} "
+        f"{idx.summand(args.module).render(' ')}"
+        for alpha, idx in indexed
+    )
     return lines
 
 
@@ -238,11 +241,15 @@ def cmd_table(args) -> list[str]:
     doc = read_json(args.alphas, "alphas")
     if not isinstance(doc, list):
         raise ParseError("alphas file must hold a JSON array of class-ref arrays")
-    alphas = [alpha_from_refs(refs, M) for refs in doc]
-    rows = []
-    for alpha in alphas:
-        idx = link_index(M, alpha)
-        rows.append((alpha, idx, idx.summand("sprime")))
+    alphas, problems = [], []
+    for row, refs in enumerate(doc):
+        try:
+            alphas.append(alpha_from_refs(refs, M, f"alphas[{row}]: "))
+        except ParseError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise ParseError("; ".join(problems))
+    indexed = ((alpha, link_index(M, alpha)) for alpha in alphas)
     if args.json:
         payload = {
             "manifold": M.name,
@@ -250,15 +257,17 @@ def cmd_table(args) -> list[str]:
                 {
                     "alpha": [class_to_entry(c) for c in alpha.components],
                     **_index_json(idx),
-                    "sprime_relations": [p.render(" ") for p in s.relations],
+                    "sprime_relations": [p.render(" ") for p in idx.summand("sprime").relations],
                 }
-                for alpha, idx, s in rows
+                for alpha, idx in indexed
             ],
         }
         return [json.dumps(payload, indent=2)]
     lines = [f"manifold: {M.name}"]
-    for alpha, idx, s in rows:
-        lines.append(f"alpha={alpha.render()} {_index_text(idx)} S'={s.render(' ')}")
+    lines.extend(
+        f"alpha={alpha.render()} {_index_text(idx)} S'={idx.summand('sprime').render(' ')}"
+        for alpha, idx in indexed
+    )
     return lines
 
 
@@ -322,6 +331,9 @@ def main(argv=None) -> int:
         # exact results may pass CPython's int/str digit limit; --bound and documents keep it
         with int_digit_limit(0):
             lines = args.func(args)
+        # command-line bytes that are not text in the locale come back unchanged
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(errors="surrogateescape")
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
     except _UsageError as exc:

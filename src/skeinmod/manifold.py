@@ -133,18 +133,12 @@ class ManifoldModel:
         for label, vecs in (
             ("torus_default", self.torus_default),
             ("sphere_gens", self.sphere_gens),
+            *((f"torus_exceptions[{cid!r}]", vecs) for cid, vecs in self.torus_exceptions),
         ):
             for i, s in enumerate(vecs):
                 if len(s.vec) != self.h2_rank:
                     problems.append(
                         f"{label}[{i}] has length {len(s.vec)}, expected h2_rank = {self.h2_rank}"
-                    )
-        for cid, vecs in self.torus_exceptions:
-            for i, s in enumerate(vecs):
-                if len(s.vec) != self.h2_rank:
-                    problems.append(
-                        f"torus_exceptions[{cid!r}][{i}] has length {len(s.vec)}, "
-                        f"expected h2_rank = {self.h2_rank}"
                     )
         for c in self.classes:
             if len(c.h.free) != self.h1_rank:
@@ -308,11 +302,21 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_vector(v, path, parse_msgs):
+def _check_vector(v, problems, path, *args):
+    """v as a tuple of ints, else None and a fault named path.format(*args)."""
     if not isinstance(v, list) or not all(_is_int(x) for x in v):
-        parse_msgs.append(f"{path} must be an array of integers")
+        problems.append(f"{path.format(*args)} must be an array of integers")
         return None
     return tuple(v)
+
+
+def _vector_list(raw, problems, path, name=None):
+    """The 2-classes of raw, or None if it is no array; faults say name or path[i]."""
+    if not isinstance(raw, list):
+        problems.append(f"{name or path} must be an array of vectors")
+        return None
+    vecs = (_check_vector(v, problems, "{}[{}]", path, i) for i, v in enumerate(raw))
+    return tuple(HomologyClass2(t) for t in vecs if t is not None)
 
 
 def class_from_entry(entry, where: str, problems: list, model=None) -> ClassLabel | None:
@@ -337,7 +341,7 @@ def class_from_entry(entry, where: str, problems: list, model=None) -> ClassLabe
         problems.append(f"{where} field 'torsion_tag' must be a string")
         tag = None
     if model is None or "h" in entry:
-        h = _check_vector(entry.get("h"), f"{where}.h", problems)
+        h = _check_vector(entry.get("h"), problems, "{}.h", where)
         return None if h is None else ClassLabel(cid, HomologyClass1(h, tag))
     if tag is not None:
         problems.append(f"{where}: 'torsion_tag' needs an inline 'h'")
@@ -380,45 +384,28 @@ def model_from_document(doc) -> ManifoldModel:
             v = 0
         ranks[key] = v
 
-    pairing_rows = []
     pairing = doc.get("pairing")
     if not isinstance(pairing, list):
         parse_msgs.append("field 'pairing' must be an array of rows")
-    else:
-        for i, row in enumerate(pairing):
-            t = _check_vector(row, f"pairing[{i}]", parse_msgs)
-            pairing_rows.append(t if t is not None else ())
+        pairing = []
+    pairing_rows = [
+        _check_vector(row, parse_msgs, "pairing[{}]", i) or () for i, row in enumerate(pairing)
+    ]
 
-    def vec_list(key):
-        out = []
-        raw = doc.get(key, [])
-        if not isinstance(raw, list):
-            parse_msgs.append(f"field {key!r} must be an array of vectors")
-            return ()
-        for i, v in enumerate(raw):
-            t = _check_vector(v, f"{key}[{i}]", parse_msgs)
-            if t is not None:
-                out.append(HomologyClass2(t))
-        return tuple(out)
-
-    torus_default = vec_list("torus_default")
-    sphere_gens = vec_list("sphere_gens")
+    torus_default, sphere_gens = (
+        _vector_list(doc.get(key, []), parse_msgs, key, f"field {key!r}") or ()
+        for key in ("torus_default", "sphere_gens")
+    )
 
     exceptions = []
     raw_exc = doc.get("torus_exceptions", {})
     if not isinstance(raw_exc, dict):
         parse_msgs.append("field 'torus_exceptions' must be an object keyed by class id")
     else:
-        for cid, vecs in raw_exc.items():
-            if not isinstance(vecs, list):
-                parse_msgs.append(f"torus_exceptions[{cid!r}] must be an array of vectors")
-                continue
-            lst = []
-            for i, v in enumerate(vecs):
-                t = _check_vector(v, f"torus_exceptions[{cid!r}][{i}]", parse_msgs)
-                if t is not None:
-                    lst.append(HomologyClass2(t))
-            exceptions.append((cid, tuple(lst)))
+        for cid, raw in raw_exc.items():
+            vecs = _vector_list(raw, parse_msgs, f"torus_exceptions[{cid!r}]")
+            if vecs is not None:
+                exceptions.append((cid, vecs))
 
     torus_rule = doc.get("torus_rule")
     if torus_rule is not None and torus_rule != "sweep":
@@ -502,9 +489,10 @@ def read_json(path: str, what: str):
     """Parse the JSON document at path; every failure is one ParseError.
 
     what names the document in messages ("manifold", "trace", ...).
-    Malformed covers non-UTF-8 bytes, nesting too deep for the decoder and
+    Malformed covers non-UTF-8 bytes, nesting too deep for the decoder,
     integers longer than 4300 digits, CPython's default int/str limit, kept
-    for documents even where a caller lifts it (the command line does).
+    for documents even where a caller lifts it (the command line does), and
+    strings with a lone surrogate escape such as "\\ud800".
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -515,9 +503,24 @@ def read_json(path: str, what: str):
         raise ParseError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
     try:
         with int_digit_limit(4300):
-            return json.loads(text)
+            doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    # only a \u escape can put a lone surrogate, which is not text, in a string
+    if "\\u" in text and _has_lone_surrogate(doc):
+        raise ParseError(f"{what} file {path} holds a lone surrogate escape (\\ud800-\\udfff)")
+    return doc
+
+
+def _has_lone_surrogate(doc) -> bool:
+    stack = [doc]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str) and any("\ud800" <= ch <= "\udfff" for ch in x):
+            return True
+        if isinstance(x, (list, tuple, dict)):
+            stack.extend(x.items() if isinstance(x, dict) else x)
+    return False
 
 
 def load_model(path: str) -> ManifoldModel:

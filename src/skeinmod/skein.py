@@ -10,9 +10,9 @@ reduced modulo the relation ideal of their class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
-from typing import NamedTuple, Union
+from typing import ClassVar, NamedTuple, Union, get_args
 
 from .errors import DimensionError, ParseError
 from .lattice import ExponentLattice
@@ -28,6 +28,7 @@ from .manifold import (
     HomologyClass1,
     HomologyClass2,
     ManifoldModel,
+    _check_vector,
     _is_int,
     class_from_entry,
     read_json,
@@ -111,8 +112,8 @@ class LinkClass:
     def parse(cls, text: str, M: ManifoldModel) -> "LinkClass":
         """Read a bracketed multiset: "[1,2]", "[id:beta, id:gamma]", "[1,0,0; 0,1,0]".
 
-        Semicolons separate components, and so do commas when h1_rank is 1 or
-        the items are id:<name> refs, which resolve through M.class_by_id.
+        Semicolons separate components; so do commas when h1_rank <= 1 or every
+        comma-separated item is an id:<name> ref, resolved by M.class_by_id.
         """
         t = text.strip()
         if not (t.startswith("[") and t.endswith("]")):
@@ -121,7 +122,7 @@ class LinkClass:
         if not inner:
             return cls(())
         items = [p.strip() for p in inner.split(",")]
-        if ";" in inner or not (M.h1_rank == 1 or any(it.startswith("id:") for it in items)):
+        if ";" in inner or not (M.h1_rank <= 1 or all(it.startswith("id:") for it in items)):
             items = inner.split(";")
         labels = []
         for item in items:
@@ -157,23 +158,26 @@ class WrithePair(NamedTuple):
     w2: int
 
 
-# -- moves; component indices are 1-based ------------------------------------
+# -- moves; component indices are 1-based, kind is the trace-document type ---
 
 
 @dataclass(frozen=True)
 class Twist:
+    kind: ClassVar[str] = "twist"
     i: int
     s: int
 
 
 @dataclass(frozen=True)
 class SelfCross:
+    kind: ClassVar[str] = "self_cross"
     i: int
     s: int
 
 
 @dataclass(frozen=True)
 class MixedCross:
+    kind: ClassVar[str] = "mixed_cross"
     i: int
     j: int
     s: int
@@ -181,6 +185,7 @@ class MixedCross:
 
 @dataclass(frozen=True)
 class Slide:
+    kind: ClassVar[str] = "slide"
     i: int
     t: HomologyClass2
 
@@ -469,27 +474,6 @@ class SkeinElement:
 # -- move traces ---------------------------------------------------------------
 
 
-def _validate_trace(M: ManifoldModel, tr: MoveTrace) -> None:
-    r = tr.alpha.size
-    for pos, mv in enumerate(tr.moves):
-        where = f"move {pos}"
-        idxs = (mv.i, mv.j) if isinstance(mv, MixedCross) else (mv.i,)
-        for i in idxs:
-            if not 1 <= i <= r:
-                raise DimensionError(
-                    f"{where}: component index {i} out of range for {r} component(s)"
-                )
-        if isinstance(mv, MixedCross) and mv.i == mv.j:
-            raise ParseError(f"{where}: mixed crossing needs two distinct components")
-        if isinstance(mv, (Twist, SelfCross, MixedCross)) and mv.s not in (1, -1):
-            raise ParseError(f"{where}: sign must be +1 or -1, got {mv.s}")
-        if isinstance(mv, Slide) and len(mv.t.vec) != M.h2_rank:
-            raise DimensionError(
-                f"{where}: slide vector has length {len(mv.t.vec)}, "
-                f"expected h2_rank = {M.h2_rank}"
-            )
-
-
 def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinElement]:
     """Accumulate the writhe pair of a move sequence over [x_alpha].
 
@@ -500,20 +484,40 @@ def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinEl
     the element q1^w1 q2^w2 [x_alpha] with exponents reduced modulo the
     doubled lattice.
     """
-    _validate_trace(M, tr)
-    rests = _component_rest(tr.alpha, M.h1_rank)
+    r = tr.alpha.size
+    # a malformed alpha gets no rest vectors and its slides add nothing: the
+    # Gamma' build of the element below reports it once every move is checked
+    shaped = all(len(c.h.free) == M.h1_rank for c in tr.alpha.components)
+    rests = _component_rest(tr.alpha, M.h1_rank) if shaped else ()
     w1 = w2 = 0
-    for mv in tr.moves:
-        if isinstance(mv, Twist):
-            w1 += mv.s
+    for pos, mv in enumerate(tr.moves):
+        mixed = isinstance(mv, MixedCross)
+        for i in (mv.i, mv.j) if mixed else (mv.i,):
+            if not 1 <= i <= r:
+                raise DimensionError(
+                    f"move {pos}: component index {i} out of range for {r} component(s)"
+                )
+        if mixed and mv.i == mv.j:
+            raise ParseError(f"move {pos}: mixed crossing needs two distinct components")
+        if isinstance(mv, Slide):
+            if len(mv.t.vec) != M.h2_rank:
+                raise DimensionError(
+                    f"move {pos}: slide vector has length {len(mv.t.vec)}, "
+                    f"expected h2_rank = {M.h2_rank}"
+                )
+            if rests:
+                c, rest = rests[mv.i - 1]
+                w1 += 2 * M.pairing_eval(mv.t, c.h)
+                w2 += 2 * M.pairing_eval(mv.t, rest)
+            continue
+        if mv.s not in (1, -1):
+            raise ParseError(f"move {pos}: sign must be +1 or -1, got {mv.s}")
+        if mixed:
+            w2 += 2 * mv.s
         elif isinstance(mv, SelfCross):
             w1 += 2 * mv.s
-        elif isinstance(mv, MixedCross):
-            w2 += 2 * mv.s
         else:
-            c, rest = rests[mv.i - 1]
-            w1 += 2 * M.pairing_eval(mv.t, c.h)
-            w2 += 2 * M.pairing_eval(mv.t, rest)
+            w1 += mv.s
     element = SkeinElement(
         "sprime", M, {tr.alpha: LaurentPoly2.monomial(w1, w2)}
     )
@@ -572,12 +576,8 @@ def sphere_torus_discrepancies(M: ManifoldModel, alphas) -> list:
 # -- trace documents -------------------------------------------------------------
 
 
-_MOVE_FIELDS = {
-    "twist": ("i", "s"),
-    "self_cross": ("i", "s"),
-    "mixed_cross": ("i", "j", "s"),
-    "slide": ("i", "t"),
-}
+# trace-document type -> (move class, its fields in constructor order)
+_MOVES = {cls.kind: (cls, tuple(f.name for f in fields(cls))) for cls in get_args(Move)}
 
 
 def _parse_move(entry, pos: int, problems: list) -> Move | None:
@@ -585,62 +585,51 @@ def _parse_move(entry, pos: int, problems: list) -> Move | None:
         problems.append(f"moves[{pos}] must be an object")
         return None
     kind = entry.get("type")
-    if kind not in _MOVE_FIELDS:
+    move = _MOVES.get(kind) if isinstance(kind, str) else None
+    if move is None:
         problems.append(
             f"moves[{pos}] has unknown type {kind!r} "
             "(expected twist, self_cross, mixed_cross, or slide)"
         )
         return None
-    fields = _MOVE_FIELDS[kind]
+    cls, names = move
     for key in entry:
-        if key != "type" and key not in fields:
+        if key != "type" and key not in names:
             problems.append(f"moves[{pos}] has unknown field {key!r}")
-    vals = {}
-    ok = True
-    for key in fields:
+    vals = []
+    for key in names:
         if key not in entry:
             problems.append(f"moves[{pos}] is missing field {key!r}")
-            ok = False
         elif key == "t":
-            t = entry[key]
-            if not isinstance(t, list) or not all(_is_int(x) for x in t):
-                problems.append(f"moves[{pos}].t must be an array of integers")
-                ok = False
-            else:
-                vals[key] = HomologyClass2(tuple(t))
+            t = _check_vector(entry[key], problems, "moves[{}].t", pos)
+            if t is not None:
+                vals.append(HomologyClass2(t))
         else:
             v = entry[key]
             if not _is_int(v):
                 problems.append(f"moves[{pos}].{key} must be an integer")
-                ok = False
             elif key == "s" and v not in (1, -1):
                 problems.append(f"moves[{pos}].s must be +1 or -1, got {v}")
-                ok = False
             else:
-                vals[key] = v
-    if not ok:
-        return None
-    if kind == "twist":
-        return Twist(vals["i"], vals["s"])
-    if kind == "self_cross":
-        return SelfCross(vals["i"], vals["s"])
-    if kind == "mixed_cross":
-        return MixedCross(vals["i"], vals["j"], vals["s"])
-    return Slide(vals["i"], vals["t"])
+                vals.append(v)
+    return cls(*vals) if len(vals) == len(names) else None
 
 
-def _resolve_refs(M: ManifoldModel, refs, where: str, problems: list) -> LinkClass:
+def _resolve_refs(M: ManifoldModel, refs, where: str, problems: list, prefix="") -> LinkClass:
     if not isinstance(refs, list):
-        problems.append(f"{where} must be an array of class refs")
+        problems.append(f"{prefix}{where} must be an array of class refs")
         return LinkClass(())
-    labels = (class_from_entry(r, f"alpha[{pos}]", problems, M) for pos, r in enumerate(refs))
+    labels = (
+        class_from_entry(r, f"{prefix}alpha[{pos}]", problems, M) for pos, r in enumerate(refs)
+    )
     return LinkClass(tuple(label for label in labels if label is not None))
 
 
-def alpha_from_refs(refs, M: ManifoldModel) -> LinkClass:
-    """Resolve an array of class refs ({id} from the table, or inline {id, h})."""
+def alpha_from_refs(refs, M: ManifoldModel, prefix: str = "") -> LinkClass:
+    """Resolve an array of class refs ({id} from the table, or inline {id, h});
+    prefix leads each fault in the message ("alphas[3]: " for a table row)."""
     problems: list[str] = []
-    alpha = _resolve_refs(M, refs, "alpha", problems)
+    alpha = _resolve_refs(M, refs, "alpha", problems, prefix)
     if problems:
         raise ParseError("; ".join(problems))
     return alpha
@@ -650,20 +639,13 @@ def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
     """Build a trace from parsed JSON, aggregating every structural problem."""
     if not isinstance(doc, dict):
         raise ParseError("trace document must be a JSON object")
-    problems: list[str] = []
-    for key in doc:
-        if key not in ("alpha", "moves"):
-            problems.append(f"unknown field {key!r}")
+    problems = [f"unknown field {key!r}" for key in doc if key not in ("alpha", "moves")]
     alpha = _resolve_refs(M, doc.get("alpha"), "field 'alpha'", problems)
     raw_moves = doc.get("moves", [])
-    moves = []
     if not isinstance(raw_moves, list):
         problems.append("field 'moves' must be an array")
-    else:
-        for pos, entry in enumerate(raw_moves):
-            mv = _parse_move(entry, pos, problems)
-            if mv is not None:
-                moves.append(mv)
+        raw_moves = []
+    moves = [_parse_move(entry, pos, problems) for pos, entry in enumerate(raw_moves)]
     if problems:
         raise ParseError("; ".join(problems))
     return MoveTrace(alpha, tuple(moves))

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output strings, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ def run(*args):
         [sys.executable, "-m", "skeinmod", *args],
         capture_output=True,
         text=True,
+        timeout=120,
     )
 
 
@@ -95,6 +97,12 @@ def test_decompose_bound_zero_and_free_rows():
     res = run("decompose", "--manifold", "handlebody(1)", "--bound", "2")
     rows = [l for l in res.stdout.splitlines() if l.startswith("alpha=")]
     assert rows and all(l.endswith("R' (free)") for l in rows)
+    # with h1_rank 0 the empty link is the only class, whatever the bound
+    res = run("decompose", "--manifold", "S3", "--bound", "99999999999999999999")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[2:] == [
+        "bound: 99999999999999999999", "alpha=[] eps'=(0,0,0) R' (free)"
+    ]
 
 
 def test_decompose_other_modules():
@@ -246,6 +254,11 @@ def test_class_refs_agree_across_verbs(tmp_path, capsys):
     # on S2xS1 the coordinate label "1" needs no class-table entry
     index = _main_out(capsys, "index", "--manifold", "S2xS1", "--alpha", "[1]")
     assert _main_out(capsys, "index", "--manifold", "S2xS1", "--alpha", "[id:1]") == index
+    # one id ref naming a rank-3 coordinate label keeps its commas
+    t3 = _main_out(capsys, "index", "--manifold", "T3", "--alpha", "[1,0,-2]")
+    assert _main_out(capsys, "index", "--manifold", "T3", "--alpha", "[id:1,0,-2]") == t3
+    T3 = builtin("T3")
+    assert LinkClass.parse("[id:1,0,-2]", T3) == LinkClass.parse("[1,0,-2]", T3)
     outputs = []  # table and reduce, text and JSON, for an inline and a bare ref
     for ref in ({"id": "1", "h": [1]}, {"id": "1"}):
         alphas = tmp_path / "one.json"
@@ -322,6 +335,23 @@ def test_parse_errors_exit_2(tmp_path):
     odd_ids.write_text(json.dumps([odd_refs]), encoding="utf-8")
     odd_trace = tmp_path / "odd_trace.json"
     odd_trace.write_text(json.dumps({"alpha": odd_refs, "moves": []}), encoding="utf-8")
+    surrogate = tmp_path / "surrogate.json"
+    surrogate.write_text(
+        '{"name": "X\\ud800", "h1_rank": 0, "h2_rank": 0, "pairing": []}', encoding="utf-8"
+    )
+    low_surrogate = tmp_path / "low_surrogate.json"
+    low_surrogate.write_text('[[{"id": "\\udc80"}]]', encoding="utf-8")
+    unhashable = tmp_path / "unhashable.json"
+    unhashable.write_text(
+        json.dumps({"alpha": [{"id": "1"}], "moves": [{"type": ["twist"], "i": 1, "s": 1}]}),
+        encoding="utf-8",
+    )
+    # rows 1 and 2 are faulty; both are reported, each under its row
+    rows = tmp_path / "rows.json"
+    rows.write_text(
+        json.dumps([[{"id": "1"}], [{"id": "-0"}], [{"id": "ghost"}, 5], [{"id": "2"}]]),
+        encoding="utf-8",
+    )
     unknown_ids = [
         ("index", "--manifold", "S2xS1", "--alpha", "[id:01]"),
         ("index", "--manifold", "S2xS1", "--alpha", "[id:-0]"),
@@ -342,6 +372,12 @@ def test_parse_errors_exit_2(tmp_path):
         ("table", "--manifold", "S2xS1", "--alphas", str(not_utf8)),
         ("table", "--manifold", "S2xS1", "--alphas", str(deep)),
         ("table", "--manifold", "S2xS1", "--alphas", str(huge)),
+        ("freeness", "--manifold", str(surrogate)),
+        ("table", "--manifold", "S2xS1", "--alphas", str(low_surrogate)),
+        ("reduce", "--manifold", "S2xS1", "--trace", str(unhashable)),
+        # (2*bound+1)^h1_rank single classes past sys.maxsize
+        ("decompose", "--manifold", "handlebody(100000000000000000000)", "--bound", "1"),
+        ("decompose", "--manifold", "S2xS1", "--bound", "99999999999999999999"),
         *unknown_ids,
     ]
     for args in cases:
@@ -355,6 +391,26 @@ def test_parse_errors_exit_2(tmp_path):
         if str(odd_ids) in args or str(odd_trace) in args:
             for pos, ref in enumerate(odd_refs):
                 assert f"alpha[{pos}]: unknown class id {ref['id']!r}" in res.stderr
+    res = run("table", "--manifold", "S2xS1", "--alphas", str(rows))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == (
+        "error:parse:alphas[1]: alpha[0]: unknown class id '-0' (not in the model's class "
+        "table); alphas[2]: alpha[0]: unknown class id 'ghost' (not in the model's class "
+        "table); alphas[2]: alpha[1] must be an object\n"
+    )
+    res = run("index", "--manifold", "T3", "--alpha", "[id:a, 1,0,0]")
+    assert res.stderr == (
+        "error:parse:unknown class id 'a, 1,0,0' (not in the model's class table)\n"
+    )
+
+
+def test_command_line_bytes_are_echoed_unchanged():
+    # \xff is not UTF-8; it reaches Python as a surrogate escape and must come
+    # back as the same byte under a strict UTF-8 stdout and the POSIX locale
+    argv = [sys.executable, "-m", "skeinmod", "specialize", b"q1 [\xff]", "--module", "s"]
+    for env in ({"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}):
+        res = subprocess.run(argv, capture_output=True, env={**os.environ, **env})
+        assert (res.returncode, res.stdout, res.stderr) == (0, b"q [\xff]\n", b""), env
 
 
 def test_dimension_errors_exit_3(tmp_path):

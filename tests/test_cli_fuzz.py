@@ -1,0 +1,146 @@
+"""Contract fuzz of cli.main: any argv and any document bytes exit with 0, 2
+or 3, write at most one stderr line, and write nothing to stdout on error."""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from skeinmod import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# argv placeholders for the three documents each example writes
+DOCS = ("@manifold", "@trace", "@alphas")
+
+small = st.integers(-3, 3)
+vec = st.lists(small, max_size=3)
+class_ids = st.sampled_from(["1", "-1", "0", "2", "1,0,0", "a", "ghost", "-0", "01"])
+refs = st.fixed_dictionaries(
+    {"id": class_ids | st.integers(0, 2)},
+    optional={"h": vec, "torsion_tag": st.sampled_from(["t", 3])},
+)
+manifold_docs = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=4),
+        "h1_rank": st.integers(0, 3),
+        "h2_rank": st.integers(0, 3),
+        "pairing": st.lists(vec, max_size=3),
+    },
+    optional={
+        "torus_default": st.lists(vec, max_size=2),
+        "sphere_gens": st.lists(vec, max_size=2) | st.integers(),
+        "torus_exceptions": st.dictionaries(class_ids, st.lists(vec, max_size=2), max_size=2),
+        "torus_rule": st.sampled_from(["sweep", "spin"]),
+        "classes": st.lists(refs, max_size=3),
+    },
+)
+move_types = ["twist", "self_cross", "mixed_cross", "slide", "hop", ["twist"], {}, 3]
+moves = st.fixed_dictionaries(
+    {"type": st.sampled_from(move_types)},
+    optional={"i": st.integers(-1, 3), "j": st.integers(0, 3), "s": st.integers(-2, 2), "t": vec},
+)
+trace_docs = st.fixed_dictionaries(
+    {"alpha": st.lists(refs, max_size=3), "moves": st.lists(moves, max_size=5)}
+)
+alphas_docs = st.lists(st.lists(refs, max_size=3), max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=10,
+)
+
+
+def documents(shaped):
+    """Bytes of a near-valid document, of any JSON value, or arbitrary bytes."""
+    as_json = (shaped | json_values).map(lambda d: json.dumps(d).encode("utf-8"))
+    return as_json | st.binary(max_size=40)
+
+
+@st.composite
+def argvs(draw):
+    verbs = ["index", "decompose", "reduce", "freeness", "specialize", "table"]
+    verb = draw(st.sampled_from(verbs))
+    manifold = draw(
+        st.sampled_from(
+            ["S3", "S2xS1", "T3", "lens(5,1)", "lens(0,1)", "handlebody(2)", "handlebody(-1)",
+             "nosuch", str(GOLDEN_DIR / "fixture_manifold.json"), "@manifold"]
+        )
+    )
+    module = draw(st.sampled_from(["sprime", "s", "l", "w", "zz"]))
+    if verb == "index":
+        alpha = draw(st.text(alphabet="[]0123456789,;-: idabgx", max_size=16))
+        argv = ["--manifold", manifold, "--alpha", alpha]
+    elif verb == "decompose":
+        # T3 and documents (h1_rank up to 3) stay at bound 1: bound 2 is 8,000 rows
+        top = 1 if manifold in ("T3", "@manifold") else 2
+        bound = str(draw(st.integers(0, top)))
+        argv = ["--manifold", manifold, "--bound", bound, "--module", module]
+    elif verb == "reduce":
+        argv = ["--manifold", manifold, "--trace", "@trace", "--module", module]
+    elif verb == "freeness":
+        argv = ["--manifold", manifold, "--module", module]
+    elif verb == "specialize":
+        element = draw(st.text(alphabet="q12^-+*[]x 03\udcff", max_size=16))
+        argv = [element, "--module", draw(st.sampled_from(["s", "l", "w", "sprime"]))]
+    else:
+        argv = ["--manifold", manifold, "--alphas", "@alphas"]
+    return [verb, *argv] + (["--json"] if draw(st.booleans()) else [])
+
+
+def _call(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    argv=argvs(),
+    manifold=documents(manifold_docs),
+    trace=documents(trace_docs),
+    alphas=documents(alphas_docs),
+)
+# (2*bound+1)^h1_rank past sys.maxsize, and h1_rank 0 with a huge bound
+@example(argv=["decompose", "--manifold", "handlebody(100000000000000000000)", "--bound", "1"],
+         manifold=b"", trace=b"", alphas=b"")
+@example(argv=["decompose", "--manifold", "S2xS1", "--bound", "99999999999999999999"],
+         manifold=b"", trace=b"", alphas=b"")
+@example(argv=["decompose", "--manifold", "S3", "--bound", "99999999999999999999"],
+         manifold=b"", trace=b"", alphas=b"")
+# faulty rows 1 and 2 of a table
+@example(argv=["table", "--manifold", "S2xS1", "--alphas", "@alphas"], manifold=b"", trace=b"",
+         alphas=b'[[{"id": "1"}], [{"id": "-0"}], [{"id": "ghost"}], [{"id": "2"}]]')
+# one id ref naming a rank-3 coordinate label
+@example(argv=["index", "--manifold", "T3", "--alpha", "[id:1,0,-2]"], manifold=b"", trace=b"",
+         alphas=b"")
+# a lone surrogate escape in a document, and a command-line byte that is not UTF-8
+@example(argv=["freeness", "--manifold", "@manifold"], trace=b"", alphas=b"",
+         manifold=b'{"name": "X\\ud800", "h1_rank": 0, "h2_rank": 0, "pairing": []}')
+@example(argv=["freeness", "--manifold", "@manifold"], trace=b"", alphas=b"",
+         manifold=b'{"name": "X\\udc80", "h1_rank": 0, "h2_rank": 0, "pairing": []}')
+@example(argv=["specialize", "q1 [\udcff]", "--module", "s"], manifold=b"", trace=b"", alphas=b"")
+# a move type that cannot be a dict key
+@example(argv=["reduce", "--manifold", "S2xS1", "--trace", "@trace"], manifold=b"", alphas=b"",
+         trace=b'{"alpha": [{"id": "1"}], '
+               b'"moves": [{"type": ["twist"], "i": 1, "s": 1}, {"type": {}}]}')
+def test_cli_contract_holds_for_any_input(argv, manifold, trace, alphas):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in zip(DOCS, (manifold, trace, alphas)):
+            paths[name] = str(Path(tmp) / f"{name[1:]}.json")
+            Path(paths[name]).write_bytes(data)
+        code, out, err = _call([paths.get(a, a) for a in argv])
+    assert code in (0, 2, 3), (argv, err)
+    assert len(err.splitlines()) <= 1, err
+    if code:
+        assert out == b"" and err.startswith("error:"), (argv, err)
+    else:
+        assert out.endswith(b"\n") and err == ""

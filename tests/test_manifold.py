@@ -270,6 +270,49 @@ def test_document_aggregates_parse_problems():
     assert "'name'" in msg and "h1_rank" in msg and "mystery" in msg
 
 
+def test_generator_list_faults_keep_their_order():
+    # torus_default, sphere_gens and each torus_exceptions list share one reader
+    # and one length check; faults stay in document-field order
+    base = {"name": "X", "h1_rank": 1, "h2_rank": 1, "pairing": [[1]]}
+    for doc, error, message in (
+        (
+            {**base, "torus_default": 5, "sphere_gens": [[1], "x", [1.5]]},
+            ParseError,
+            "field 'torus_default' must be an array of vectors; "
+            "sphere_gens[1] must be an array of integers; "
+            "sphere_gens[2] must be an array of integers",
+        ),
+        (
+            {
+                **base,
+                "torus_default": [[1], [True]],
+                "sphere_gens": 7,
+                "torus_exceptions": {"a": 3, "b": [[1], "z"], "c": [[2]]},
+            },
+            ParseError,
+            "torus_default[1] must be an array of integers; "
+            "field 'sphere_gens' must be an array of vectors; "
+            "torus_exceptions['a'] must be an array of vectors; "
+            "torus_exceptions['b'][1] must be an array of integers",
+        ),
+        (
+            {
+                **base,
+                "torus_default": [[1, 2]],
+                "sphere_gens": [[1], [2, 3]],
+                "torus_exceptions": {"a": [[1, 1]], "b": [[1]]},
+            },
+            DimensionError,
+            "torus_default[0] has length 2, expected h2_rank = 1; "
+            "sphere_gens[1] has length 2, expected h2_rank = 1; "
+            "torus_exceptions['a'][0] has length 2, expected h2_rank = 1",
+        ),
+    ):
+        with pytest.raises(error) as exc:
+            model_from_document(doc)
+        assert str(exc.value) == message
+
+
 def test_class_entry_single_fault_messages():
     # the class table and class refs read entries through one reader; each
     # lone fault keeps its exact message under either prefix

@@ -158,6 +158,14 @@ def test_trace_validation_errors():
         trace_evaluate(M, MoveTrace(a, (Twist(1, 2),)))
     with pytest.raises(DimensionError, match="slide vector"):
         trace_evaluate(M, MoveTrace(a, (Slide(1, HomologyClass2((1, 0))),)))
+    # every move is checked before a malformed alpha is reported, also past a slide
+    bad = LinkClass((ClassLabel("b", HomologyClass1((1, 2))),))
+    t = HomologyClass2((1,))
+    with pytest.raises(DimensionError, match="^move 1: component index 9 out of range"):
+        trace_evaluate(M, MoveTrace(bad, (Slide(1, t), Twist(9, 1))))
+    for moves in ((), (Slide(1, t),), (Twist(1, 1), Slide(1, t))):
+        with pytest.raises(DimensionError, match="^class 'b' has homology vector of length 2"):
+            trace_evaluate(M, MoveTrace(bad, moves))
 
 
 def test_element_algebra():
@@ -402,6 +410,43 @@ def test_trace_from_document_aggregates_problems():
     msg = str(exc.value)
     for needle in ("'id'", "hop", "moves[1].s", "missing field 't'", "extra"):
         assert needle in msg
+
+
+def test_trace_document_messages_keep_their_order():
+    expected = "(expected twist, self_cross, mixed_cross, or slide)"
+    for doc, message in (
+        (
+            {"alpha": [{"id": "1"}], "moves": [{"type": ["twist"], "i": 1, "s": 1}, {"type": {}}]},
+            f"moves[0] has unknown type ['twist'] {expected}; "
+            f"moves[1] has unknown type {{}} {expected}",
+        ),
+        (
+            {
+                "alpha": 3,
+                "moves": [
+                    5,
+                    {"type": "slide", "i": 1, "t": "x", "q": 1},
+                    {"type": "mixed_cross", "i": True, "j": 2, "s": 3},
+                ],
+            },
+            "field 'alpha' must be an array of class refs; moves[0] must be an object; "
+            "moves[1] has unknown field 'q'; moves[1].t must be an array of integers; "
+            "moves[2].i must be an integer; moves[2].s must be +1 or -1, got 3",
+        ),
+        (
+            {
+                "alpha": [{"id": "1"}, {"id": "zz"}],
+                "moves": [{"type": "slide", "i": 1, "t": [1, 1.0]}, {"type": "self_cross", "s": 2}],
+                "extra": 1,
+            },
+            "unknown field 'extra'; alpha[1]: unknown class id 'zz' (not in the model's class "
+            "table); moves[0].t must be an array of integers; moves[1] is missing field 'i'; "
+            "moves[1].s must be +1 or -1, got 2",
+        ),
+    ):
+        with pytest.raises(ParseError) as exc:
+            trace_from_document(doc, M)
+        assert str(exc.value) == message
 
 
 def test_alpha_from_refs_rejects_bad_shapes():
