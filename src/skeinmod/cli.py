@@ -10,10 +10,13 @@ with code 2, dimension mismatches with code 3.
 from __future__ import annotations
 
 import argparse
+import codecs
 import itertools
 import json
 import re
 import sys
+from collections.abc import Iterable
+from functools import cache
 
 from .errors import DimensionError, ParseError
 from .laurent import LaurentPoly2
@@ -33,8 +36,10 @@ from .skein import (
     MODULE_TAGS,
     LinkClass,
     LinkIndex,
+    _check_class,
     _freeness_generators,
     alpha_from_refs,
+    class_pairings,
     is_free,
     link_index,
     load_trace,
@@ -90,6 +95,43 @@ def _summand_json(s) -> dict:
     return {"relations": [p.render(" ") for p in s.relations], "free": s.is_free}
 
 
+def _indented(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads nested depth levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _members_json(fields: dict, depth: int) -> str:
+    """The "key": value members of json.dumps(fields, indent=2), depth levels deep."""
+    return (",\n" + "  " * depth).join(
+        f"{json.dumps(key)}: {_indented(value, depth)}" for key, value in fields.items()
+    )
+
+
+def _row_json(alpha: LinkClass, entries, members: str) -> str:
+    """One element of "rows": the alpha's class entries (entries gives a class's
+    text, _indented at depth 4), then members (_members_json at depth 3)."""
+    inner = ",\n        ".join(map(entries, alpha.components))
+    listed = f"[\n        {inner}\n      ]" if inner else "[]"
+    return f'    {{\n      "alpha": {listed},\n      {members}\n    }}'
+
+
+def _json_lines(head: dict, rows):
+    """The lines of json.dumps({**head, "rows": [...]}, indent=2), given each
+    row as _row_json writes it; one row is held at a time."""
+    opening = "{\n  " + _members_json(head, 1) + ',\n  "rows": ['
+    rows = iter(rows)
+    row = next(rows, None)
+    if row is None:
+        yield opening + "]\n}"
+        return
+    yield opening
+    for following in rows:
+        yield row + ","
+        row = following
+    yield row
+    yield "  ]\n}"
+
+
 # -- verbs ---------------------------------------------------------------------
 
 
@@ -117,18 +159,26 @@ def cmd_index(args) -> list[str]:
 
 
 def _enumerate_alphas(M: ManifoldModel, bound: int):
-    """All multisets of size <= bound over classes with coordinates in [-bound, bound],
-    ordered by size then lexicographically."""
-    yield LinkClass(())
+    """(alpha, link_index) for all multisets alpha of size <= bound over classes
+    with coordinates in [-bound, bound], ordered by size then lexicographically.
+    Each single class's pairing record is computed once."""
+    empty = LinkClass(())
+    yield empty, link_index(M, empty)
     if M.h1_rank == 0:
         return
     vecs = itertools.product(range(-bound, bound + 1), repeat=M.h1_rank)
     singles = sorted(map(ClassLabel.coordinate, vecs), key=ClassLabel.sort_key)
+    records = [(c, class_pairings(M, c)) for c in singles]
     for size in range(1, bound + 1):
-        yield from map(LinkClass, itertools.combinations_with_replacement(singles, size))
+        # combinations keep the sorted order, so LinkClass keeps the labels'
+        # order and the records line up with alpha's components
+        for combo in itertools.combinations_with_replacement(records, size):
+            labels, pairings = zip(*combo)
+            alpha = LinkClass(labels)
+            yield alpha, link_index(M, alpha, pairings)
 
 
-def cmd_decompose(args) -> list[str]:
+def cmd_decompose(args) -> Iterable[str]:
     M = resolve_manifold(args.manifold)
     if args.bound < 0:
         raise ParseError(f"bound must be >= 0, got {args.bound}")
@@ -139,29 +189,25 @@ def cmd_decompose(args) -> list[str]:
             f"bound {args.bound} on h1_rank {rank} gives (2*bound+1)^h1_rank "
             f"single classes, more than {sys.maxsize}"
         )
-    indexed = ((alpha, link_index(M, alpha)) for alpha in _enumerate_alphas(M, args.bound))
+    module = args.module
+    indexed = _enumerate_alphas(M, args.bound)
+    # each class entry and each index's text are formatted once; the caches
+    # belong to these functions, made anew for each run
     if args.json:
-        payload = {
-            "manifold": M.name,
-            "module": args.module,
-            "bound": args.bound,
-            "rows": [
-                {
-                    "alpha": [class_to_entry(c) for c in alpha.components],
-                    "eps_prime": list(idx.eps_prime),
-                    **_summand_json(idx.summand(args.module)),
-                }
-                for alpha, idx in indexed
-            ],
-        }
-        return [json.dumps(payload, indent=2)]
-    lines = [f"manifold: {M.name}", f"module: {args.module}", f"bound: {args.bound}"]
-    lines.extend(
-        f"alpha={alpha.render()} eps'={_triple_str(idx.eps_prime)} "
-        f"{idx.summand(args.module).render(' ')}"
-        for alpha, idx in indexed
+        entries = cache(lambda c: _indented(class_to_entry(c), 4))
+        members = cache(lambda idx: _members_json(
+            {"eps_prime": list(idx.eps_prime), **_summand_json(idx.summand(module))}, 3
+        ))
+        head = {"manifold": M.name, "module": module, "bound": args.bound}
+        rows = (_row_json(alpha, entries, members(idx)) for alpha, idx in indexed)
+        return _json_lines(head, rows)
+    tail = cache(
+        lambda idx: f"eps'={_triple_str(idx.eps_prime)} {idx.summand(module).render(' ')}"
     )
-    return lines
+    return itertools.chain(
+        (f"manifold: {M.name}", f"module: {module}", f"bound: {args.bound}"),
+        (f"alpha={alpha.render()} {tail(idx)}" for alpha, idx in indexed),
+    )
 
 
 def cmd_reduce(args) -> list[str]:
@@ -236,7 +282,7 @@ def cmd_specialize(args) -> list[str]:
     return [rendered]
 
 
-def cmd_table(args) -> list[str]:
+def cmd_table(args) -> Iterable[str]:
     M = resolve_manifold(args.manifold)
     doc = read_json(args.alphas, "alphas")
     if not isinstance(doc, list):
@@ -249,26 +295,25 @@ def cmd_table(args) -> list[str]:
             problems.append(str(exc))
     if problems:
         raise ParseError("; ".join(problems))
+    # a class of the wrong length is the one fault link_index raises: check
+    # every row before the first byte, then index the rows as they are written
+    for alpha in alphas:
+        for c in alpha.components:
+            _check_class(c, M.h1_rank)
     indexed = ((alpha, link_index(M, alpha)) for alpha in alphas)
     if args.json:
-        payload = {
-            "manifold": M.name,
-            "rows": [
-                {
-                    "alpha": [class_to_entry(c) for c in alpha.components],
-                    **_index_json(idx),
-                    "sprime_relations": [p.render(" ") for p in idx.summand("sprime").relations],
-                }
-                for alpha, idx in indexed
-            ],
-        }
-        return [json.dumps(payload, indent=2)]
-    lines = [f"manifold: {M.name}"]
-    lines.extend(
-        f"alpha={alpha.render()} {_index_text(idx)} S'={idx.summand('sprime').render(' ')}"
-        for alpha, idx in indexed
+        entries = cache(lambda c: _indented(class_to_entry(c), 4))
+        members = cache(lambda idx: _members_json({
+            **_index_json(idx),
+            "sprime_relations": [p.render(" ") for p in idx.summand("sprime").relations],
+        }, 3))
+        rows = (_row_json(alpha, entries, members(idx)) for alpha, idx in indexed)
+        return _json_lines({"manifold": M.name}, rows)
+    tail = cache(lambda idx: f"{_index_text(idx)} S'={idx.summand('sprime').render(' ')}")
+    return itertools.chain(
+        (f"manifold: {M.name}",),
+        (f"alpha={alpha.render()} {tail(idx)}" for alpha, idx in indexed),
     )
-    return lines
 
 
 # -- parser and entry point ------------------------------------------------------
@@ -325,16 +370,48 @@ def _one_line(exc) -> str:
     return " ".join(str(exc).split())
 
 
+def _escape_unencodable(exc):
+    """Stdout's codec error handler: a surrogate U+DC80-U+DCFF (a command-line
+    byte that was not text) goes out as that byte, as with surrogateescape;
+    any other character the encoding cannot hold as a backslash escape."""
+    if not isinstance(exc, UnicodeEncodeError):
+        raise exc
+    ch = exc.object[exc.start]
+    if "\udc80" <= ch <= "\udcff":
+        return bytes([ord(ch) - 0xDC00]), exc.start + 1
+    return ch.encode("ascii", "backslashreplace").decode("ascii"), exc.start + 1
+
+
+_STDOUT_ERRORS = "skeinmod-escape"
+codecs.register_error(_STDOUT_ERRORS, _escape_unencodable)
+
+_WRITE_BLOCK = 1 << 16
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout, in blocks of about 64 KiB."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= _WRITE_BLOCK:
+            sys.stdout.write("\n".join(block) + "\n")
+            block, size = [], 0
+    if block:
+        sys.stdout.write("\n".join(block) + "\n")
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # exact results may pass CPython's int/str digit limit; --bound and documents keep it
+        # exact results may pass CPython's int/str digit limit; --bound and
+        # documents keep it. Verbs check their input and return lines that are
+        # formatted as they are written, so the writes run inside the lift too.
         with int_digit_limit(0):
             lines = args.func(args)
-        # command-line bytes that are not text in the locale come back unchanged
-        if hasattr(sys.stdout, "reconfigure"):
-            sys.stdout.reconfigure(errors="surrogateescape")
-        sys.stdout.write("\n".join(lines) + "\n")
+            if hasattr(sys.stdout, "reconfigure"):
+                sys.stdout.reconfigure(errors=_STDOUT_ERRORS)
+            _write_lines(lines)
         return 0
     except _UsageError as exc:
         print(f"error:usage:{_one_line(exc)}", file=sys.stderr)

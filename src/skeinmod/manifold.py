@@ -12,6 +12,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionError, ParseError
 
@@ -169,6 +170,25 @@ class ManifoldModel:
             row = self.pairing[i]
             total += si * sum(row[j] * h.free[j] for j in range(self.h1_rank))
         return total
+
+    def covectors(self, gens: tuple[HomologyClass2, ...]) -> tuple[tuple[int, ...], ...]:
+        """The covector t^T P of each generator t, so t pairs with h as their
+        dot product. Kept for the listed generator lists (torus_default, each
+        torus_exceptions list, sphere_gens); computed for any other list."""
+        listed = self._listed_covectors.get(gens)
+        return listed if listed is not None else self._pair_with_basis(gens)
+
+    def _pair_with_basis(self, gens) -> tuple[tuple[int, ...], ...]:
+        basis = [
+            HomologyClass1(tuple(1 if j == k else 0 for j in range(self.h1_rank)))
+            for k in range(self.h1_rank)
+        ]
+        return tuple(tuple(self.pairing_eval(t, e) for e in basis) for t in gens)
+
+    @cached_property
+    def _listed_covectors(self) -> dict:
+        lists = (self.torus_default, self.sphere_gens, *(v for _, v in self.torus_exceptions))
+        return {gens: self._pair_with_basis(gens) for gens in lists}
 
     # -- torus and sphere subgroups ------------------------------------------
 

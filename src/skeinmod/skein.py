@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import gcd
+from operator import mul
 from typing import ClassVar, NamedTuple, Union, get_args
 
 from .errors import DimensionError, ParseError
@@ -47,6 +48,7 @@ __all__ = [
     "MoveTrace",
     "SummandRelations",
     "SkeinElement",
+    "class_pairings",
     "gamma_prime",
     "link_index",
     "epsilon_prime",
@@ -202,15 +204,23 @@ class MoveTrace:
 # -- indices ------------------------------------------------------------------
 
 
+def _check_class(c: ClassLabel, n: int) -> None:
+    if len(c.h.free) != n:
+        raise DimensionError(
+            f"class {c.id!r} has homology vector of length {len(c.h.free)}, "
+            f"expected h1_rank = {n}"
+        )
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
 def _component_rest(alpha: LinkClass, n: int):
     """For each component: (its class, the coordinate sum of all the others)."""
     total = [0] * n
     for c in alpha.components:
-        if len(c.h.free) != n:
-            raise DimensionError(
-                f"class {c.id!r} has homology vector of length {len(c.h.free)}, "
-                f"expected h1_rank = {n}"
-            )
+        _check_class(c, n)
         for k in range(n):
             total[k] += c.h.free[k]
     out = []
@@ -220,23 +230,42 @@ def _component_rest(alpha: LinkClass, n: int):
     return out
 
 
-def gamma_prime(M: ManifoldModel, alpha: LinkClass) -> ExponentLattice:
-    """Exponent lattice generated by (pairing(t, h_i), pairing(t, sum of others))
-    over components i and torus generators t of component i's class."""
+def class_pairings(M: ManifoldModel, c: ClassLabel):
+    """One class's pairing record (covectors, values, mu): the covectors t^T P of
+    its torus generators, their pairings t.h with its class, and the gcd of its
+    sphere pairings (0 if all vanish). It depends on the class alone, so a
+    caller indexing many link classes over the same classes computes it once."""
+    _check_class(c, M.h1_rank)
+    h = c.h.free
+    covectors = M.covectors(M.torus_subgroup(c))
+    mu = gcd(*(_dot(s, h) for s in M.covectors(M.sphere_subgroup())))
+    return covectors, tuple(_dot(t, h) for t in covectors), mu
+
+
+def gamma_prime(M: ManifoldModel, alpha: LinkClass, pairings=None) -> ExponentLattice:
+    """Exponent lattice generated by (t.h_i, t.(H - h_i)) over components i and
+    torus generators t of component i's class, H the sum of all h_i.
+
+    pairings, the class_pairings of alpha's components in order, is computed
+    when not given.
+    """
+    if pairings is None:
+        pairings = [class_pairings(M, c) for c in alpha.components]
+    total = [sum(col) for col in zip(*(c.h.free for c in alpha.components))]
+    on_total: dict = {}  # t.H, once per distinct covector
     gens = []
-    for c, rest in _component_rest(alpha, M.h1_rank):
-        for t in M.torus_subgroup(c):
-            gens.append((M.pairing_eval(t, c.h), M.pairing_eval(t, rest)))
+    for covectors, values, _mu in pairings:
+        for t, a in zip(covectors, values):
+            t_total = on_total.get(t)
+            if t_total is None:
+                t_total = on_total[t] = _dot(t, total)
+            gens.append((a, t_total - a))
     return ExponentLattice(gens)
 
 
 def mu_index(M: ManifoldModel, alpha: LinkClass) -> int:
     """gcd over components and sphere generators of |pairing|, 0 if all vanish."""
-    g = 0
-    for c in alpha.components:
-        for s in M.sphere_subgroup():
-            g = gcd(g, abs(M.pairing_eval(s, c.h)))
-    return g
+    return gcd(*(class_pairings(M, c)[2] for c in alpha.components))
 
 
 @dataclass(frozen=True)
@@ -294,11 +323,15 @@ class LinkIndex(NamedTuple):
         return SummandRelations(tag, (LaurentPoly1.monomial(2 * pe) - LaurentPoly1.one(),))
 
 
-def link_index(M: ManifoldModel, alpha: LinkClass) -> LinkIndex:
-    """All indices of alpha from one build of Gamma' and one sphere gcd."""
-    lat = gamma_prime(M, alpha)
+def link_index(M: ManifoldModel, alpha: LinkClass, pairings=None) -> LinkIndex:
+    """All indices of alpha from one build of Gamma'; mu is the gcd of the
+    classes' sphere gcds. pairings is as for gamma_prime."""
+    if pairings is None:
+        pairings = [class_pairings(M, c) for c in alpha.components]
+    lat = gamma_prime(M, alpha, pairings)
     t = IndexTriple(*lat.index_triple())
-    return LinkIndex(t, lat.sum_image(), mu_index(M, alpha), abs(t.e2))
+    mu = gcd(*(class_mu for _covectors, _values, class_mu in pairings))
+    return LinkIndex(t, lat.sum_image(), mu, abs(t.e2))
 
 
 def epsilon_prime(M: ManifoldModel, alpha: LinkClass) -> IndexTriple:

@@ -9,6 +9,9 @@ which shares any code with the package's Euclidean canonicalization:
   equal);
 * literal enumeration of integer combinations with bounded coefficients,
   for small generator sets, done meet-in-the-middle.
+
+Gamma' and mu of a link class are rebuilt here from a model's raw data with
+the literal sums sum_i sum_j t_i P_ij h_j, without the package's covectors.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ __all__ = [
     "member_by_invariants",
     "member_by_enumeration",
     "combination_span",
+    "literal_pairing",
+    "literal_gamma_mu",
 ]
 
 
@@ -60,3 +65,38 @@ def member_by_enumeration(gens, v, bound=50) -> bool:
     right = combination_span(rest, bound)
     vx, vy = v
     return any((vx - x, vy - y) in right for (x, y) in left)
+
+
+def literal_pairing(P, t, h) -> int:
+    """sum_i sum_j t_i P_ij h_j, written out."""
+    return sum(t[i] * P[i][j] * h[j] for i in range(len(t)) for j in range(len(h)))
+
+
+def _torus_vectors(M, cid, h):
+    # the exception list keyed by the class id, else the sweep wedges h ^ e_k
+    # in the (e2^e3, e3^e1, e1^e2) basis, else the default list
+    for key, gens in M.torus_exceptions:
+        if key == cid:
+            return [g.vec for g in gens]
+    if M.torus_rule == "sweep":
+        return [(0, h[2], -h[1]), (-h[2], 0, h[0]), (h[1], -h[0], 0)]
+    return [g.vec for g in M.torus_default]
+
+
+def literal_gamma_mu(M, comps):
+    """(Gamma' generators, mu) of the classes comps, a list of (id, h) pairs.
+
+    Component i gives (t.h_i, t.(sum of the other h_j)) for each of its
+    torus generators t; mu is the gcd of |s.h_i| over sphere generators s.
+    """
+    P = M.pairing
+    gens = []
+    for i, (cid, h) in enumerate(comps):
+        rest = [sum(o[k] for j, (_, o) in enumerate(comps) if j != i) for k in range(len(h))]
+        for t in _torus_vectors(M, cid, h):
+            gens.append((literal_pairing(P, t, h), literal_pairing(P, t, rest)))
+    mu = 0
+    for _, h in comps:
+        for s in M.sphere_gens:
+            mu = gcd(mu, abs(literal_pairing(P, s.vec, h)))
+    return gens, mu

@@ -2,8 +2,11 @@
 
 import json
 import os
+import re
+import selectors
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from skeinmod import builtin, cli, skein
@@ -285,9 +288,9 @@ def test_gamma_prime_is_built_once_per_link_class(tmp_path, monkeypatch, capsys)
     calls = []
     real = skein.gamma_prime
 
-    def counting(M, alpha):
+    def counting(M, alpha, *args, **kwargs):
         calls.append(alpha)
-        return real(M, alpha)
+        return real(M, alpha, *args, **kwargs)
 
     monkeypatch.setattr(skein, "gamma_prime", counting)
     refs = [[{"id": "1", "h": [1]}, {"id": "2", "h": [2]}], [{"id": "k", "h": [3]}], []]
@@ -411,6 +414,105 @@ def test_command_line_bytes_are_echoed_unchanged():
     for env in ({"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}):
         res = subprocess.run(argv, capture_output=True, env={**os.environ, **env})
         assert (res.returncode, res.stdout, res.stderr) == (0, b"q [\xff]\n", b""), env
+
+
+def test_unencodable_text_is_escaped(tmp_path):
+    # characters stdout's encoding cannot hold are written as backslash escapes
+    doc = tmp_path / "cafe.json"
+    doc.write_text(
+        json.dumps({"name": "caf\u00e9", "h1_rank": 1, "h2_rank": 1, "pairing": [[1]],
+                    "torus_default": [[1]]}),
+        encoding="utf-8",
+    )
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text(json.dumps([[{"id": "\u00e9", "h": [1]}]]), encoding="utf-8")
+    cases = (
+        (["specialize", "q1 [\u00e9]", "--module", "s"], b"q [\\xe9]\n"),
+        (["index", "--manifold", str(doc), "--alpha", "[]"], b"manifold: caf\\xe9\n"),
+        (
+            ["table", "--manifold", "S2xS1", "--alphas", str(alphas)],
+            b"manifold: S2xS1\nalpha=[id:\\xe9] eps'=(1,0,0) eps=1 mu=1 eps2=0 "
+            b"S'=R'/(q1^2 - 1)\n",
+        ),
+    )
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    for argv, want in cases:
+        res = subprocess.run(
+            [sys.executable, "-m", "skeinmod", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert (res.returncode, res.stderr) == (0, b""), argv
+        assert res.stdout.startswith(want), argv
+
+
+def test_json_rows_are_written_as_json_dumps_writes_them(tmp_path, capsys):
+    # the rows are formatted one at a time; the document must not show it
+    for args in (
+        ("S3", "3"),
+        ("S2xS1", "0"),
+        ("lens(5,1)", "2"),
+        ("T3", "1", "--module", "l"),
+        ("S2xS1", "2", "--module", "w"),
+    ):
+        out = _main_out(capsys, "decompose", "--manifold", args[0], "--bound", *args[1:], "--json")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", args
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]", encoding="utf-8")
+    out = _main_out(capsys, "table", "--manifold", "S2xS1", "--alphas", str(empty), "--json")
+    assert out == json.dumps({"manifold": "S2xS1", "rows": []}, indent=2) + "\n"
+
+
+def test_decompose_streams_its_rows():
+    # about 10^8 rows: the first lines arrive in time only if rows are
+    # written while the enumeration runs
+    argv = [sys.executable, "-m", "skeinmod", "decompose", "--manifold", "handlebody(6)",
+            "--bound", "2"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    out = b""
+    try:
+        deadline = time.monotonic() + 120
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdout, selectors.EVENT_READ)
+            while out.count(b"\n") < 10 and sel.select(deadline - time.monotonic()):
+                chunk = os.read(proc.stdout.fileno(), 1 << 16)
+                if not chunk:
+                    break
+                out += chunk
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    lines = out.split(b"\n")
+    assert len(lines) > 10
+    assert lines[:5] == [
+        b"manifold: handlebody(6)", b"module: sprime", b"bound: 2",
+        b"alpha=[] eps'=(0,0,0) R' (free)", b"alpha=[-2,-2,-2,-2,-2,-2] eps'=(0,0,0) R' (free)",
+    ]
+
+
+def test_values_past_the_digit_limit_print_while_streaming(tmp_path):
+    # t P h = 10^6000 for h = [1]: 6001 digits, formatted as rows are written
+    big = "1" + "0" * 3000
+    doc = tmp_path / "huge.json"
+    doc.write_text(
+        '{"name": "huge", "h1_rank": 1, "h2_rank": 1, "pairing": [[%s]], '
+        '"torus_default": [[%s]]}' % (big, big),
+        encoding="utf-8",
+    )
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text('[[{"id": "1"}]]', encoding="utf-8")
+    value = "1" + "0" * 6000
+    for args in (
+        ("decompose", "--manifold", str(doc), "--bound", "1"),
+        ("decompose", "--manifold", str(doc), "--bound", "1", "--json"),
+        ("table", "--manifold", str(doc), "--alphas", str(alphas)),
+        ("table", "--manifold", str(doc), "--alphas", str(alphas), "--json"),
+        ("index", "--manifold", str(doc), "--alpha", "[1]"),
+    ):
+        res = run(*args)
+        assert (res.returncode, res.stderr) == (0, ""), args
+        assert re.search(rf"[^0-9]{value}[^0-9]", res.stdout), args
+        if "--json" not in args:
+            assert f"eps'=({value},0,0)" in res.stdout, args
 
 
 def test_dimension_errors_exit_3(tmp_path):
