@@ -13,6 +13,7 @@ import argparse
 import codecs
 import itertools
 import json
+import os
 import re
 import sys
 from collections.abc import Iterable
@@ -40,10 +41,9 @@ from .skein import (
     _freeness_generators,
     alpha_from_refs,
     class_pairings,
+    evaluate_trace_document,
     is_free,
     link_index,
-    load_trace,
-    trace_evaluate,
 )
 
 _TAG_LABEL = {"sprime": "S'", "s": "S", "l": "L", "w": "W"}
@@ -212,11 +212,9 @@ def cmd_decompose(args) -> Iterable[str]:
 
 def cmd_reduce(args) -> list[str]:
     M = resolve_manifold(args.manifold)
-    trace = load_trace(args.trace, M)
-    raw, element = trace_evaluate(M, trace)
+    alpha, raw, element = evaluate_trace_document(read_json(args.trace, "trace"), M)
     if args.module != "sprime":
         element = element.specialize(args.module)
-    alpha = trace.alpha
     exponents = next(iter(element.terms[alpha].terms))
     reduced_str = (
         f"({exponents[0]},{exponents[1]})" if args.module == "sprime" else str(exponents)
@@ -412,7 +410,13 @@ def main(argv=None) -> int:
             if hasattr(sys.stdout, "reconfigure"):
                 sys.stdout.reconfigure(errors=_STDOUT_ERRORS)
             _write_lines(lines)
+            sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader closed stdout early (| head): stdout goes to devnull so
+        # the flush at exit is silent, and the exit code is a SIGPIPE death's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _UsageError as exc:
         print(f"error:usage:{_one_line(exc)}", file=sys.stderr)
         return 2

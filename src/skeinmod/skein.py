@@ -61,6 +61,7 @@ __all__ = [
     "sphere_torus_discrepancies",
     "alpha_from_refs",
     "trace_from_document",
+    "evaluate_trace_document",
     "load_trace",
 ]
 
@@ -214,20 +215,6 @@ def _check_class(c: ClassLabel, n: int) -> None:
 
 def _dot(u, v) -> int:
     return sum(map(mul, u, v))
-
-
-def _component_rest(alpha: LinkClass, n: int):
-    """For each component: (its class, the coordinate sum of all the others)."""
-    total = [0] * n
-    for c in alpha.components:
-        _check_class(c, n)
-        for k in range(n):
-            total[k] += c.h.free[k]
-    out = []
-    for c in alpha.components:
-        rest = tuple(total[k] - c.h.free[k] for k in range(n))
-        out.append((c, HomologyClass1(rest)))
-    return out
 
 
 def class_pairings(M: ManifoldModel, c: ClassLabel):
@@ -506,55 +493,95 @@ class SkeinElement:
 
 # -- move traces ---------------------------------------------------------------
 
+# sign-move type -> what its sign s is multiplied by in (w1, w2)
+_SIGN_WEIGHTS = {"twist": (1, 0), "self_cross": (2, 0), "mixed_cross": (0, 2)}
+
+
+def _slide_vectors(M: ManifoldModel, alpha: LinkClass):
+    """For each component i, (P h_i, P (H - h_i)) with H the sum of all h_i,
+    so a slide of i along t pairs t with them as dot products. Empty when a
+    component's class has the wrong length: the element build reports it."""
+    n = M.h1_rank
+    if any(len(c.h.free) != n for c in alpha.components):
+        return ()
+    total = [sum(col) for col in zip(*(c.h.free for c in alpha.components))]
+    basis = [
+        HomologyClass2(tuple(1 if j == k else 0 for j in range(M.h2_rank)))
+        for k in range(M.h2_rank)
+    ]
+    out = []
+    for c in alpha.components:
+        rest = HomologyClass1(tuple(x - y for x, y in zip(total, c.h.free)))
+        out.append(
+            (
+                tuple(M.pairing_eval(e, c.h) for e in basis),
+                tuple(M.pairing_eval(e, rest) for e in basis),
+            )
+        )
+    return out
+
+
+def _writhe(kind: str, i: int, value, vectors) -> tuple[int, int]:
+    """(dw1, dw2) of a checked move; value is its sign s, or a slide's t.
+
+    A twist adds s to w1, a self crossing 2s to w1, a mixed crossing 2s to
+    w2, and a slide of component i along t adds twice its pairing with
+    component i to w1 and twice its pairing with the others to w2.
+    """
+    if kind == "slide":
+        if not vectors:
+            return 0, 0
+        own, rest = vectors[i - 1]
+        return 2 * _dot(value, own), 2 * _dot(value, rest)
+    d1, d2 = _SIGN_WEIGHTS[kind]
+    return d1 * value, d2 * value
+
+
+def _check_move(mv: Move, pos: int, r: int, h2_rank: int) -> None:
+    """Raise the first fault of move pos against r components and h2_rank."""
+    mixed = isinstance(mv, MixedCross)
+    for i in (mv.i, mv.j) if mixed else (mv.i,):
+        if not 1 <= i <= r:
+            raise DimensionError(
+                f"move {pos}: component index {i} out of range for {r} component(s)"
+            )
+    if mixed and mv.i == mv.j:
+        raise ParseError(f"move {pos}: mixed crossing needs two distinct components")
+    if isinstance(mv, Slide):
+        if len(mv.t.vec) != h2_rank:
+            raise DimensionError(
+                f"move {pos}: slide vector has length {len(mv.t.vec)}, "
+                f"expected h2_rank = {h2_rank}"
+            )
+    elif mv.s not in (1, -1):
+        raise ParseError(f"move {pos}: sign must be +1 or -1, got {mv.s}")
+
+
+def _move_writhe(mv: Move, vectors) -> tuple[int, int]:
+    return _writhe(mv.kind, mv.i, mv.t.vec if isinstance(mv, Slide) else mv.s, vectors)
+
+
+def _trace_result(M: ManifoldModel, alpha: LinkClass, w1: int, w2: int):
+    """The raw pair and the element q1^w1 q2^w2 [x_alpha], reduced."""
+    return WrithePair(w1, w2), SkeinElement("sprime", M, {alpha: LaurentPoly2.monomial(w1, w2)})
+
 
 def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinElement]:
     """Accumulate the writhe pair of a move sequence over [x_alpha].
 
-    Twist adds its sign to w1, a self-crossing adds twice its sign to w1, a
-    mixed crossing adds twice its sign to w2, and a slide of component i
-    along t adds twice its pairing with component i to w1 and twice its
-    pairing with the remaining components to w2. Returns the raw pair and
-    the element q1^w1 q2^w2 [x_alpha] with exponents reduced modulo the
-    doubled lattice.
+    Each move adds its _writhe. Returns the raw pair and the element
+    q1^w1 q2^w2 [x_alpha] with exponents reduced modulo the doubled
+    lattice. Every move is checked before a malformed alpha is reported.
     """
     r = tr.alpha.size
-    # a malformed alpha gets no rest vectors and its slides add nothing: the
-    # Gamma' build of the element below reports it once every move is checked
-    shaped = all(len(c.h.free) == M.h1_rank for c in tr.alpha.components)
-    rests = _component_rest(tr.alpha, M.h1_rank) if shaped else ()
+    vectors = _slide_vectors(M, tr.alpha)
     w1 = w2 = 0
     for pos, mv in enumerate(tr.moves):
-        mixed = isinstance(mv, MixedCross)
-        for i in (mv.i, mv.j) if mixed else (mv.i,):
-            if not 1 <= i <= r:
-                raise DimensionError(
-                    f"move {pos}: component index {i} out of range for {r} component(s)"
-                )
-        if mixed and mv.i == mv.j:
-            raise ParseError(f"move {pos}: mixed crossing needs two distinct components")
-        if isinstance(mv, Slide):
-            if len(mv.t.vec) != M.h2_rank:
-                raise DimensionError(
-                    f"move {pos}: slide vector has length {len(mv.t.vec)}, "
-                    f"expected h2_rank = {M.h2_rank}"
-                )
-            if rests:
-                c, rest = rests[mv.i - 1]
-                w1 += 2 * M.pairing_eval(mv.t, c.h)
-                w2 += 2 * M.pairing_eval(mv.t, rest)
-            continue
-        if mv.s not in (1, -1):
-            raise ParseError(f"move {pos}: sign must be +1 or -1, got {mv.s}")
-        if mixed:
-            w2 += 2 * mv.s
-        elif isinstance(mv, SelfCross):
-            w1 += 2 * mv.s
-        else:
-            w1 += mv.s
-    element = SkeinElement(
-        "sprime", M, {tr.alpha: LaurentPoly2.monomial(w1, w2)}
-    )
-    return WrithePair(w1, w2), element
+        _check_move(mv, pos, r, M.h2_rank)
+        d1, d2 = _move_writhe(mv, vectors)
+        w1 += d1
+        w2 += d2
+    return _trace_result(M, tr.alpha, w1, w2)
 
 
 # -- freeness and consistency ----------------------------------------------------
@@ -668,20 +695,93 @@ def alpha_from_refs(refs, M: ManifoldModel, prefix: str = "") -> LinkClass:
     return alpha
 
 
-def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
-    """Build a trace from parsed JSON, aggregating every structural problem."""
+def _trace_parts(doc, M: ManifoldModel, problems: list):
+    """A trace document's alpha and its raw move array; faults go to problems."""
     if not isinstance(doc, dict):
         raise ParseError("trace document must be a JSON object")
-    problems = [f"unknown field {key!r}" for key in doc if key not in ("alpha", "moves")]
+    problems.extend(f"unknown field {key!r}" for key in doc if key not in ("alpha", "moves"))
     alpha = _resolve_refs(M, doc.get("alpha"), "field 'alpha'", problems)
     raw_moves = doc.get("moves", [])
     if not isinstance(raw_moves, list):
         problems.append("field 'moves' must be an array")
         raw_moves = []
+    return alpha, raw_moves
+
+
+def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
+    """Build a trace from parsed JSON, aggregating every structural problem."""
+    problems: list[str] = []
+    alpha, raw_moves = _trace_parts(doc, M, problems)
     moves = [_parse_move(entry, pos, problems) for pos, entry in enumerate(raw_moves)]
     if problems:
         raise ParseError("; ".join(problems))
     return MoveTrace(alpha, tuple(moves))
+
+
+# trace-document type -> the key count of a well-formed entry, "type" included
+_ENTRY_SIZE = {kind: len(names) + 1 for kind, (_cls, names) in _MOVES.items()}
+
+
+def _entry_writhe(entry, r: int, h2_rank: int, vectors):
+    """The _writhe of a well-formed move entry that passes _check_move, read
+    straight from the document; None for any other entry."""
+    if type(entry) is not dict:
+        return None
+    kind = entry.get("type")
+    if type(kind) is not str or len(entry) != _ENTRY_SIZE.get(kind):
+        return None
+    i = entry.get("i")
+    if type(i) is not int or not 1 <= i <= r:
+        return None
+    if kind == "slide":
+        value = entry.get("t")
+        if type(value) is not list or len(value) != h2_rank:
+            return None
+        if any(type(x) is not int for x in value):
+            return None
+    else:
+        value = entry.get("s")
+        if type(value) is not int or (value != 1 and value != -1):
+            return None
+        if kind == "mixed_cross":
+            j = entry.get("j")
+            if type(j) is not int or not 1 <= j <= r or j == i:
+                return None
+    return _writhe(kind, i, value, vectors)
+
+
+def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
+    """trace_evaluate(M, trace_from_document(doc, M)), with the trace's alpha,
+    in one pass that builds no move object for a well-formed entry.
+
+    Every parse problem is reported first, all in one ParseError; then the
+    first move that fails _check_move; then a malformed alpha.
+    """
+    problems: list[str] = []
+    alpha, raw_moves = _trace_parts(doc, M, problems)
+    r, h2_rank = alpha.size, M.h2_rank
+    vectors = _slide_vectors(M, alpha)
+    fault = None
+    w1 = w2 = 0
+    for pos, entry in enumerate(raw_moves):
+        delta = _entry_writhe(entry, r, h2_rank, vectors)
+        if delta is None:
+            mv = _parse_move(entry, pos, problems)
+            if mv is None or fault is not None:
+                continue
+            try:
+                _check_move(mv, pos, r, h2_rank)
+            except (ParseError, DimensionError) as exc:
+                fault = exc
+                continue
+            delta = _move_writhe(mv, vectors)
+        w1 += delta[0]
+        w2 += delta[1]
+    if problems:
+        raise ParseError("; ".join(problems))
+    if fault is not None:
+        raise fault
+    return (alpha, *_trace_result(M, alpha, w1, w2))
 
 
 def load_trace(path: str, M: ManifoldModel) -> MoveTrace:

@@ -489,6 +489,22 @@ def test_decompose_streams_its_rows():
     ]
 
 
+def test_closed_stdout_exits_141_with_nothing_on_stderr():
+    # the reader takes two lines and closes the pipe, as `| head -2` does;
+    # about 1 MB of rows is still to come
+    argv = [sys.executable, "-m", "skeinmod", "decompose", "--manifold", "S2xS1", "--bound", "6"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert lines == [b"manifold: S2xS1\n", b"module: sprime\n"]
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_values_past_the_digit_limit_print_while_streaming(tmp_path):
     # t P h = 10^6000 for h = [1]: 6001 digits, formatted as rows are written
     big = "1" + "0" * 3000

@@ -39,9 +39,16 @@ manifold_docs = st.fixed_dictionaries(
     },
 )
 move_types = ["twist", "self_cross", "mixed_cross", "slide", "hop", ["twist"], {}, 3]
+# JSON true, false and 1.0 read as bool and float: no integers, though equal to some
+not_ints = st.booleans() | st.floats(-2, 3)
 moves = st.fixed_dictionaries(
     {"type": st.sampled_from(move_types)},
-    optional={"i": st.integers(-1, 3), "j": st.integers(0, 3), "s": st.integers(-2, 2), "t": vec},
+    optional={
+        "i": st.integers(-1, 3) | not_ints,
+        "j": st.integers(0, 3) | not_ints,
+        "s": st.integers(-2, 2) | not_ints,
+        "t": vec,
+    },
 )
 trace_docs = st.fixed_dictionaries(
     {"alpha": st.lists(refs, max_size=3), "moves": st.lists(moves, max_size=5)}
@@ -131,6 +138,9 @@ def _call(argv):
 @example(argv=["reduce", "--manifold", "S2xS1", "--trace", "@trace"], manifold=b"", alphas=b"",
          trace=b'{"alpha": [{"id": "1"}], '
                b'"moves": [{"type": ["twist"], "i": 1, "s": 1}, {"type": {}}]}')
+# a bool component index, which equals 1 but is no integer
+@example(argv=["reduce", "--manifold", "S2xS1", "--trace", "@trace"], manifold=b"", alphas=b"",
+         trace=b'{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": true, "s": 1}]}')
 def test_cli_contract_holds_for_any_input(argv, manifold, trace, alphas):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import member_by_invariants
@@ -30,6 +30,7 @@ from skeinmod.skein import (
     alpha_from_refs,
     epsilon,
     epsilon_prime,
+    evaluate_trace_document,
     gamma_prime,
     is_free,
     mu_index,
@@ -454,3 +455,154 @@ def test_alpha_from_refs_rejects_bad_shapes():
         alpha_from_refs({"id": "x"}, M)
     with pytest.raises(ParseError, match="torsion_tag"):
         alpha_from_refs([{"id": "x", "torsion_tag": "t"}], M)
+
+
+# -- the one-pass document walk against parse-then-evaluate ----------------------
+
+P22 = model_from_document(
+    {
+        "name": "P22",
+        "h1_rank": 2,
+        "h2_rank": 2,
+        "pairing": [[1, 2], [-1, 3]],
+        "torus_default": [[1, 0]],
+        "classes": [{"id": "b", "h": [2, -1]}],
+    }
+)
+MOVE_FAULTS = (
+    "not_int", "t_not_ints", "s2", "i0", "i_past_r", "j_is_i", "extra_key", "missing_key",
+    "t_length", "t_not_list", "not_dict", "unknown_type",
+)
+
+
+def _ints(n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+
+@st.composite
+def move_entries(draw, r, h2_rank, faulty):
+    """A well-formed entry for r components; if faulty, maybe with faults from MOVE_FAULTS."""
+    kind = draw(st.sampled_from(["twist", "self_cross", "mixed_cross", "slide"]))
+    entry = {"type": kind, "i": draw(st.integers(1, max(r, 1)))}
+    if kind == "mixed_cross":
+        others = [j for j in range(1, r + 1) if j != entry["i"]]
+        entry["j"] = draw(st.sampled_from(others)) if others else entry["i"]
+    if kind == "slide":
+        entry["t"] = draw(_ints(h2_rank))
+    else:
+        entry["s"] = draw(st.sampled_from([1, -1]))
+    for fault in draw(st.lists(st.sampled_from(MOVE_FAULTS), max_size=2)) if faulty else ():
+        keys = [key for key in entry if key != "type"]
+        if fault in ("not_int", "t_not_ints"):
+            # what JSON true, false and 1.0 read as: no integers, though they
+            # may equal the valid value
+            if fault == "not_int":
+                held, places = entry, [k for k in keys if k != "t"]
+            else:
+                held = entry.get("t")
+                places = range(len(held)) if type(held) is list else ()
+            if places:
+                at = draw(st.sampled_from(places))
+                disguised = st.sampled_from([float(held[at]), True, False])
+                held[at] = draw(disguised | st.floats(-2, 3))
+        elif fault == "s2" and "s" in entry:
+            entry["s"] = 2
+        elif fault == "i0":
+            entry["i"] = 0
+        elif fault == "i_past_r":
+            entry["i"] = r + 1
+        elif fault == "j_is_i" and {"i", "j"} <= entry.keys():
+            entry["j"] = entry["i"]
+        elif fault in ("extra_key", "missing_key"):
+            del entry[draw(st.sampled_from(keys))]
+            if fault == "extra_key":
+                entry["q"] = 1
+        elif fault == "t_length" and "t" in entry:
+            entry["t"] = draw(_ints(h2_rank + 1))
+        elif fault == "t_not_list" and "t" in entry:
+            entry["t"] = draw(st.sampled_from(["x", 1, None, [1.0] * h2_rank]))
+        elif fault == "not_dict":
+            entry = draw(st.sampled_from([5, "twist", [entry]]))
+            break
+        elif fault == "unknown_type":
+            entry["type"] = draw(st.sampled_from(["hop", "Twist", 3, ["twist"]]))
+    return entry
+
+
+@st.composite
+def trace_documents(draw):
+    """(model, document): about half are valid traces, the others may have
+    faults in the moves, a bad alpha ref, an alpha class of the wrong length
+    or an unknown field."""
+    M = draw(st.sampled_from([builtin("S2xS1"), P22]))
+    named = ["1"] if M.h1_rank == 1 else ["b", "1,0"]
+    good = st.sampled_from(named).map(lambda cid: {"id": cid}) | st.fixed_dictionaries(
+        {"id": st.sampled_from(["k", "m"]), "h": _ints(M.h1_rank)}
+    )
+    bad = st.sampled_from([{"id": "ghost"}, {"id": "w", "h": [1] * (M.h1_rank + 1)}, 7])
+    faulty = draw(st.booleans())
+    alpha = draw(st.lists(good, min_size=int(not faulty), max_size=3))
+    if faulty:
+        alpha += draw(st.lists(bad, max_size=1))
+    moves = draw(st.lists(move_entries(len(alpha), M.h2_rank, faulty), max_size=6))
+    doc = {"alpha": alpha, "moves": moves}
+    if faulty and draw(st.booleans()) and draw(st.booleans()):
+        doc["extra"] = 1
+    return M, doc
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ParseError, DimensionError) as exc:
+        return type(exc), str(exc)
+
+
+def _parse_then_evaluate(doc, M):
+    tr = trace_from_document(doc, M)
+    return (tr.alpha, *trace_evaluate(M, tr))
+
+
+TWO = [{"id": "1"}, {"id": "2"}]
+WRONG_LENGTH = [{"id": "b", "h": [1, 2]}]
+SLIDE = {"type": "slide", "i": 1, "t": [1]}
+
+
+@settings(max_examples=150)
+@given(case=trace_documents())
+# test_trace_validation_errors, as documents
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "twist", "i": 3, "s": 1}]}))
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "twist", "i": 0, "s": 1}]}))
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "mixed_cross", "i": 1, "j": 1, "s": 1}]}))
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "twist", "i": 1, "s": 2}]}))
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "slide", "i": 1, "t": [1, 0]}]}))
+@example(case=(M, {"alpha": WRONG_LENGTH, "moves": [SLIDE, {"type": "twist", "i": 9, "s": 1}]}))
+@example(case=(M, {"alpha": WRONG_LENGTH, "moves": []}))
+@example(case=(M, {"alpha": WRONG_LENGTH, "moves": [SLIDE]}))
+@example(case=(M, {"alpha": WRONG_LENGTH, "moves": [{"type": "twist", "i": 1, "s": 1}, SLIDE]}))
+# a bool is no integer, though True == 1
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "twist", "i": True, "s": 1}]}))
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "mixed_cross", "i": 2, "j": True, "s": 1}]}))
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "mixed_cross", "i": 1, "j": 2, "s": True}]}))
+@example(case=(M, {"alpha": TWO, "moves": [{"type": "slide", "i": 1, "t": [True]}]}))
+# test_trace_document_messages_keep_their_order
+@example(case=(M, {
+    "alpha": [{"id": "1"}], "moves": [{"type": ["twist"], "i": 1, "s": 1}, {"type": {}}]
+}))
+@example(case=(M, {
+    "alpha": 3,
+    "moves": [
+        5,
+        {"type": "slide", "i": 1, "t": "x", "q": 1},
+        {"type": "mixed_cross", "i": True, "j": 2, "s": 3},
+    ],
+}))
+@example(case=(M, {
+    "alpha": [{"id": "1"}, {"id": "zz"}],
+    "moves": [{"type": "slide", "i": 1, "t": [1, 1.0]}, {"type": "self_cross", "s": 2}],
+    "extra": 1,
+}))
+def test_one_pass_walk_equals_parse_then_evaluate(case):
+    model, doc = case
+    expected = _outcome(lambda: _parse_then_evaluate(doc, model))
+    assert _outcome(lambda: evaluate_trace_document(doc, model)) == expected
