@@ -4,7 +4,8 @@ Six verbs: decompose, index, reduce, freeness, specialize, table. Output
 is line-oriented plain text (or one JSON object with --json) and is
 byte-identical for identical inputs. Every error exits nonzero with a
 single line "error:<category>:<message>"; parse and usage problems exit
-with code 2, dimension mismatches with code 3.
+with code 2, dimension mismatches with code 3, a failed write to stdout
+with code 74.
 """
 
 from __future__ import annotations
@@ -79,12 +80,12 @@ def resolve_manifold(spec: str) -> ManifoldModel:
     return load_model(s)
 
 
-def _triple_str(t) -> str:
-    return f"({t.e1},{t.e2},{t.e3})"
+def _tuple_str(values) -> str:
+    return "(" + ",".join(map(str, values)) + ")"
 
 
 def _index_text(idx: LinkIndex) -> str:
-    return f"eps'={_triple_str(idx.eps_prime)} eps={idx.eps} mu={idx.mu} eps2={idx.eps2}"
+    return f"eps'={_tuple_str(idx.eps_prime)} eps={idx.eps} mu={idx.mu} eps2={idx.eps2}"
 
 
 def _index_json(idx: LinkIndex) -> dict:
@@ -164,14 +165,14 @@ def _enumerate_alphas(M: ManifoldModel, bound: int):
     Each single class's pairing record is computed once."""
     empty = LinkClass(())
     yield empty, link_index(M, empty)
-    if M.h1_rank == 0:
+    if M.h1_rank == 0 or bound == 0:
         return
+    # product yields the singles in ClassLabel.sort_key order, since a
+    # coordinate id collates as (0, free); combinations keep that order, so
+    # LinkClass keeps the labels' order and the pairings line up with them
     vecs = itertools.product(range(-bound, bound + 1), repeat=M.h1_rank)
-    singles = sorted(map(ClassLabel.coordinate, vecs), key=ClassLabel.sort_key)
-    records = [(c, class_pairings(M, c)) for c in singles]
+    records = [(c, class_pairings(M, c)) for c in map(ClassLabel.coordinate, vecs)]
     for size in range(1, bound + 1):
-        # combinations keep the sorted order, so LinkClass keeps the labels'
-        # order and the records line up with alpha's components
         for combo in itertools.combinations_with_replacement(records, size):
             labels, pairings = zip(*combo)
             alpha = LinkClass(labels)
@@ -202,7 +203,7 @@ def cmd_decompose(args) -> Iterable[str]:
         rows = (_row_json(alpha, entries, members(idx)) for alpha, idx in indexed)
         return _json_lines(head, rows)
     tail = cache(
-        lambda idx: f"eps'={_triple_str(idx.eps_prime)} {idx.summand(module).render(' ')}"
+        lambda idx: f"eps'={_tuple_str(idx.eps_prime)} {idx.summand(module).render(' ')}"
     )
     return itertools.chain(
         (f"manifold: {M.name}", f"module: {module}", f"bound: {args.bound}"),
@@ -216,9 +217,6 @@ def cmd_reduce(args) -> list[str]:
     if args.module != "sprime":
         element = element.specialize(args.module)
     exponents = next(iter(element.terms[alpha].terms))
-    reduced_str = (
-        f"({exponents[0]},{exponents[1]})" if args.module == "sprime" else str(exponents)
-    )
     if args.json:
         payload = {
             "manifold": M.name,
@@ -233,8 +231,8 @@ def cmd_reduce(args) -> list[str]:
         f"manifold: {M.name}",
         f"alpha: {alpha.render()}",
         f"module: {args.module}",
-        f"raw: ({raw.w1},{raw.w2})",
-        f"reduced: {reduced_str}",
+        f"raw: {_tuple_str(raw)}",
+        f"reduced: {_tuple_str(exponents) if args.module == 'sprime' else exponents}",
         f"element: {element.render(' ')}",
     ]
 
@@ -412,11 +410,15 @@ def main(argv=None) -> int:
             _write_lines(lines)
             sys.stdout.flush()
         return 0
-    except BrokenPipeError:
-        # the reader closed stdout early (| head): stdout goes to devnull so
-        # the flush at exit is silent, and the exit code is a SIGPIPE death's
+    except OSError as exc:
+        # a write to stdout failed: stdout goes to devnull so the flush at
+        # exit is silent. A reader that closed it early (| head) gets a
+        # SIGPIPE death's exit code; any other fault is EX_IOERR
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error:io:cannot write stdout: {_one_line(exc)}", file=sys.stderr)
+        return 74
     except _UsageError as exc:
         print(f"error:usage:{_one_line(exc)}", file=sys.stderr)
         return 2

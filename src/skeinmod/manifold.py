@@ -90,6 +90,10 @@ def _vec_str(v) -> str:
     return "[" + ",".join(str(x) for x in v) + "]"
 
 
+def _unit(n: int, k: int) -> tuple[int, ...]:
+    return (0,) * k + (1,) + (0,) * (n - k - 1)
+
+
 def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -179,11 +183,12 @@ class ManifoldModel:
         return listed if listed is not None else self._pair_with_basis(gens)
 
     def _pair_with_basis(self, gens) -> tuple[tuple[int, ...], ...]:
-        basis = [
-            HomologyClass1(tuple(1 if j == k else 0 for j in range(self.h1_rank)))
-            for k in range(self.h1_rank)
-        ]
-        return tuple(tuple(self.pairing_eval(t, e) for e in basis) for t in gens)
+        # each basis vector is made as it is paired: an empty list makes none
+        n = self.h1_rank
+        return tuple(
+            tuple(self.pairing_eval(t, HomologyClass1(_unit(n, k))) for k in range(n))
+            for t in gens
+        )
 
     @cached_property
     def _listed_covectors(self) -> dict:
@@ -202,11 +207,7 @@ class ManifoldModel:
         """
         if self.torus_rule != "sweep":
             return ()
-        out = []
-        for k in range(3):
-            e = tuple(1 if j == k else 0 for j in range(3))
-            out.append(HomologyClass2(_cross(h.free, e)))
-        return tuple(out)
+        return tuple(HomologyClass2(_cross(h.free, _unit(3, k))) for k in range(3))
 
     def torus_subgroup(self, c: ClassLabel) -> tuple[HomologyClass2, ...]:
         """Exception list if one is keyed by c.id, else rule output, else default."""
@@ -267,12 +268,11 @@ def builtin(name: str, *params: int) -> ManifoldModel:
         )
     if name == "T3":
         _expect_params(name, params, 0)
-        identity = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
         return ManifoldModel(
             name="T3",
             h1_rank=3,
             h2_rank=3,
-            pairing=identity,
+            pairing=tuple(_unit(3, k) for k in range(3)),
             torus_rule="sweep",
         )
     if name == "lens":

@@ -31,6 +31,7 @@ from .manifold import (
     ManifoldModel,
     _check_vector,
     _is_int,
+    _unit,
     class_from_entry,
     read_json,
 )
@@ -340,11 +341,10 @@ def torsion_annihilator(M: ManifoldModel, alpha: LinkClass, module_tag: str):
     when the summand is free); for sprime returns the tuple of ideal
     generators (empty when free).
     """
-    tag = _check_tag(module_tag)
-    idx = link_index(M, alpha)
-    if tag == "sprime":
-        return idx.summand(tag).relations
-    return LaurentPoly1.monomial(2 * idx.exponent(tag)) - LaurentPoly1.one()
+    relations = link_index(M, alpha).summand(_check_tag(module_tag)).relations
+    if module_tag == "sprime":
+        return relations
+    return relations[0] if relations else LaurentPoly1.zero()
 
 
 # -- skein elements ------------------------------------------------------------
@@ -505,10 +505,7 @@ def _slide_vectors(M: ManifoldModel, alpha: LinkClass):
     if any(len(c.h.free) != n for c in alpha.components):
         return ()
     total = [sum(col) for col in zip(*(c.h.free for c in alpha.components))]
-    basis = [
-        HomologyClass2(tuple(1 if j == k else 0 for j in range(M.h2_rank)))
-        for k in range(M.h2_rank)
-    ]
+    basis = [HomologyClass2(_unit(M.h2_rank, k)) for k in range(M.h2_rank)]
     out = []
     for c in alpha.components:
         rest = HomologyClass1(tuple(x - y for x, y in zip(total, c.h.free)))
@@ -557,10 +554,6 @@ def _check_move(mv: Move, pos: int, r: int, h2_rank: int) -> None:
         raise ParseError(f"move {pos}: sign must be +1 or -1, got {mv.s}")
 
 
-def _move_writhe(mv: Move, vectors) -> tuple[int, int]:
-    return _writhe(mv.kind, mv.i, mv.t.vec if isinstance(mv, Slide) else mv.s, vectors)
-
-
 def _trace_result(M: ManifoldModel, alpha: LinkClass, w1: int, w2: int):
     """The raw pair and the element q1^w1 q2^w2 [x_alpha], reduced."""
     return WrithePair(w1, w2), SkeinElement("sprime", M, {alpha: LaurentPoly2.monomial(w1, w2)})
@@ -578,7 +571,7 @@ def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinEl
     w1 = w2 = 0
     for pos, mv in enumerate(tr.moves):
         _check_move(mv, pos, r, M.h2_rank)
-        d1, d2 = _move_writhe(mv, vectors)
+        d1, d2 = _writhe(mv.kind, mv.i, mv.t.vec if isinstance(mv, Slide) else mv.s, vectors)
         w1 += d1
         w2 += d2
     return _trace_result(M, tr.alpha, w1, w2)
@@ -596,8 +589,7 @@ def _freeness_generators(M: ManifoldModel, module_tag: str) -> list:
         gens.extend(vecs)
     if M.torus_rule is not None:
         for k in range(M.h1_rank):
-            basis = HomologyClass1(tuple(1 if j == k else 0 for j in range(M.h1_rank)))
-            gens.extend(M.rule_generators(basis))
+            gens.extend(M.rule_generators(HomologyClass1(_unit(M.h1_rank, k))))
     return gens
 
 
@@ -611,7 +603,7 @@ def is_free(M: ManifoldModel, module_tag: str):
     """
     for t in _freeness_generators(M, module_tag):
         for k in range(M.h1_rank):
-            e = HomologyClass1(tuple(1 if j == k else 0 for j in range(M.h1_rank)))
+            e = HomologyClass1(_unit(M.h1_rank, k))
             if M.pairing_eval(t, e) != 0:
                 return False, (t, e)
     return True, None
@@ -752,36 +744,27 @@ def _entry_writhe(entry, r: int, h2_rank: int, vectors):
 
 def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
     """trace_evaluate(M, trace_from_document(doc, M)), with the trace's alpha,
-    in one pass that builds no move object for a well-formed entry.
+    in one pass that builds no move object when the document is well formed.
 
-    Every parse problem is reported first, all in one ParseError; then the
-    first move that fails _check_move; then a malformed alpha.
+    At the first parse problem or faulty entry the document is read again by
+    trace_from_document and trace_evaluate, which own every fault's message.
     """
     problems: list[str] = []
     alpha, raw_moves = _trace_parts(doc, M, problems)
-    r, h2_rank = alpha.size, M.h2_rank
-    vectors = _slide_vectors(M, alpha)
-    fault = None
-    w1 = w2 = 0
-    for pos, entry in enumerate(raw_moves):
-        delta = _entry_writhe(entry, r, h2_rank, vectors)
-        if delta is None:
-            mv = _parse_move(entry, pos, problems)
-            if mv is None or fault is not None:
-                continue
-            try:
-                _check_move(mv, pos, r, h2_rank)
-            except (ParseError, DimensionError) as exc:
-                fault = exc
-                continue
-            delta = _move_writhe(mv, vectors)
-        w1 += delta[0]
-        w2 += delta[1]
-    if problems:
-        raise ParseError("; ".join(problems))
-    if fault is not None:
-        raise fault
-    return (alpha, *_trace_result(M, alpha, w1, w2))
+    if not problems:
+        r, h2_rank = alpha.size, M.h2_rank
+        vectors = _slide_vectors(M, alpha)
+        w1 = w2 = 0
+        for entry in raw_moves:
+            delta = _entry_writhe(entry, r, h2_rank, vectors)
+            if delta is None:
+                break
+            w1 += delta[0]
+            w2 += delta[1]
+        else:
+            return (alpha, *_trace_result(M, alpha, w1, w2))
+    tr = trace_from_document(doc, M)
+    return (tr.alpha, *trace_evaluate(M, tr))
 
 
 def load_trace(path: str, M: ManifoldModel) -> MoveTrace:

@@ -9,6 +9,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from skeinmod import builtin, cli, skein
 from skeinmod.skein import LinkClass, alpha_from_refs
 
@@ -106,6 +108,34 @@ def test_decompose_bound_zero_and_free_rows():
     assert res.stdout.splitlines()[2:] == [
         "bound: 99999999999999999999", "alpha=[] eps'=(0,0,0) R' (free)"
     ]
+
+
+def test_decompose_bound_zero_on_a_huge_genus():
+    # bound 0 gives the empty link alone: no single class of length h1_rank is built
+    genus = "handlebody(100000000000000000000)"
+    res = run("decompose", "--manifold", genus, "--bound", "0")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == [
+        f"manifold: {genus}", "module: sprime", "bound: 0", "alpha=[] eps'=(0,0,0) R' (free)"
+    ]
+    res = run("decompose", "--manifold", genus, "--bound", "0", "--json")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert json.loads(res.stdout) == {
+        "manifold": genus, "module": "sprime", "bound": 0,
+        "rows": [{"alpha": [], "eps_prime": [0, 0, 0], "relations": [], "free": True}],
+    }
+
+
+def test_decompose_rows_increase_by_sort_key(capsys):
+    # the singles are enumerated in ClassLabel.sort_key order without a sort
+    for name, bound in (("handlebody(4)", 1), ("handlebody(3)", 2), ("T3", 1)):
+        M = cli.resolve_manifold(name)
+        out = _main_out(capsys, "decompose", "--manifold", name, "--bound", str(bound))
+        keys = [
+            LinkClass.parse(re.match(r"alpha=(\[[^\]]*\])", line).group(1), M).sort_key()
+            for line in out.splitlines()[3:]
+        ]
+        assert len(keys) > 1 and all(a < b for a, b in zip(keys, keys[1:])), name
 
 
 def test_decompose_other_modules():
@@ -503,6 +533,20 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr():
         proc.wait()
     assert lines == [b"manifold: S2xS1\n", b"module: sprime\n"]
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_exits_74_with_one_error_line():
+    for args in (
+        ("index", "--manifold", "S2xS1", "--alpha", "[1,2]"),
+        ("decompose", "--manifold", "S2xS1", "--bound", "6"),
+    ):
+        with open("/dev/full", "w") as full:
+            res = subprocess.run([sys.executable, "-m", "skeinmod", *args], stdout=full,
+                                 stderr=subprocess.PIPE, text=True, timeout=120)
+        assert res.returncode == 74, args
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:io:cannot write stdout: "), args
 
 
 def test_values_past_the_digit_limit_print_while_streaming(tmp_path):

@@ -1,5 +1,6 @@
 """Indices built from cached pairing records, checked against the literal sums."""
 
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -135,3 +136,17 @@ def test_eps_is_the_gcd_of_torus_pairings_with_the_total_class(capsys):
             total = [sum(c.h.free[k] for c in alpha.components) for k in range(M.h1_rank)]
             expected = _gcd_abs(literal_pairing(M.pairing, t.vec, total) for t in M.torus_default)
             assert link_index(M, alpha).eps == expected, text
+
+
+def test_covectors_of_no_generators_build_no_basis():
+    # a handlebody has no torus or sphere generators: pairing a class must not
+    # make the h1_rank basis vectors of length h1_rank
+    M = builtin("handlebody", 2000)
+    zero = ClassLabel.coordinate((0,) * 2000)
+    tracemalloc.start()
+    try:
+        assert class_pairings(M, zero) == ((), (), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
