@@ -71,9 +71,8 @@ def resolve_manifold(spec: str) -> ManifoldModel:
         return builtin(s)
     m = _BUILTIN_CALL.match(s)
     if m:
-        raw = [p.strip() for p in m.group(2).split(",") if p.strip()]
         try:
-            params = [int(p) for p in raw]
+            params = [int(p) for p in m.group(2).split(",")] if m.group(2).strip() else []
         except ValueError:
             raise ParseError(f"builtin parameters must be integers, got {m.group(2)!r}")
         return builtin(m.group(1), *params)
@@ -258,7 +257,9 @@ def cmd_freeness(args) -> list[str]:
         )
     if args.json:
         payload = {"manifold": M.name, "module": args.module, "free": free}
-        if witness is not None:
+        if free:
+            payload["reason"] = reason
+        else:
             payload["witness"] = {"generator": list(t.vec), "class": list(e.free), "pairing": val}
         return [json.dumps(payload, indent=2)]
     return [f"manifold: {M.name}", f"module: {args.module}", verdict]

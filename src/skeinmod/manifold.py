@@ -13,6 +13,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import DimensionError, ParseError
 
@@ -94,6 +95,10 @@ def _unit(n: int, k: int) -> tuple[int, ...]:
     return (0,) * k + (1,) + (0,) * (n - k - 1)
 
 
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
 def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -157,43 +162,35 @@ class ManifoldModel:
 
     def pairing_eval(self, s: HomologyClass2, h: HomologyClass1) -> int:
         """Oriented intersection number: s transposed, times the pairing, times h."""
-        if len(s.vec) != self.h2_rank:
-            raise DimensionError(
-                f"2-class {_vec_str(s.vec)} has length {len(s.vec)}, "
-                f"expected h2_rank = {self.h2_rank}"
-            )
+        covector = self._covector(s.vec)
         if len(h.free) != self.h1_rank:
             raise DimensionError(
                 f"1-class {_vec_str(h.free)} has length {len(h.free)}, "
                 f"expected h1_rank = {self.h1_rank}"
             )
-        total = 0
-        for i, si in enumerate(s.vec):
-            if si == 0:
-                continue
-            row = self.pairing[i]
-            total += si * sum(row[j] * h.free[j] for j in range(self.h1_rank))
-        return total
+        return _dot(covector, h.free)
+
+    def _covector(self, t) -> tuple[int, ...]:
+        """t^T P, the pairing rows weighted by t's nonzero entries: t pairs
+        with a 1-class h as the dot product of this covector with h."""
+        if len(t) != self.h2_rank:
+            raise DimensionError(
+                f"2-class {_vec_str(t)} has length {len(t)}, expected h2_rank = {self.h2_rank}"
+            )
+        weighted = [(ti, row) for ti, row in zip(t, self.pairing) if ti]
+        return tuple(sum(ti * row[j] for ti, row in weighted) for j in range(self.h1_rank))
 
     def covectors(self, gens: tuple[HomologyClass2, ...]) -> tuple[tuple[int, ...], ...]:
         """The covector t^T P of each generator t, so t pairs with h as their
         dot product. Kept for the listed generator lists (torus_default, each
         torus_exceptions list, sphere_gens); computed for any other list."""
         listed = self._listed_covectors.get(gens)
-        return listed if listed is not None else self._pair_with_basis(gens)
-
-    def _pair_with_basis(self, gens) -> tuple[tuple[int, ...], ...]:
-        # each basis vector is made as it is paired: an empty list makes none
-        n = self.h1_rank
-        return tuple(
-            tuple(self.pairing_eval(t, HomologyClass1(_unit(n, k))) for k in range(n))
-            for t in gens
-        )
+        return listed if listed is not None else tuple(self._covector(t.vec) for t in gens)
 
     @cached_property
     def _listed_covectors(self) -> dict:
         lists = (self.torus_default, self.sphere_gens, *(v for _, v in self.torus_exceptions))
-        return {gens: self._pair_with_basis(gens) for gens in lists}
+        return {gens: tuple(self._covector(t.vec) for t in gens) for gens in lists}
 
     # -- torus and sphere subgroups ------------------------------------------
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import gcd
-from operator import mul
 from typing import ClassVar, NamedTuple, Union, get_args
 
 from .errors import DimensionError, ParseError
@@ -30,6 +29,7 @@ from .manifold import (
     HomologyClass2,
     ManifoldModel,
     _check_vector,
+    _dot,
     _is_int,
     _unit,
     class_from_entry,
@@ -212,10 +212,6 @@ def _check_class(c: ClassLabel, n: int) -> None:
             f"class {c.id!r} has homology vector of length {len(c.h.free)}, "
             f"expected h1_rank = {n}"
         )
-
-
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
 
 
 def class_pairings(M: ManifoldModel, c: ClassLabel):
@@ -505,17 +501,13 @@ def _slide_vectors(M: ManifoldModel, alpha: LinkClass):
     if any(len(c.h.free) != n for c in alpha.components):
         return ()
     total = [sum(col) for col in zip(*(c.h.free for c in alpha.components))]
-    basis = [HomologyClass2(_unit(M.h2_rank, k)) for k in range(M.h2_rank)]
-    out = []
-    for c in alpha.components:
-        rest = HomologyClass1(tuple(x - y for x, y in zip(total, c.h.free)))
-        out.append(
-            (
-                tuple(M.pairing_eval(e, c.h) for e in basis),
-                tuple(M.pairing_eval(e, rest) for e in basis),
-            )
+    return [
+        tuple(
+            tuple(_dot(row, h) for row in M.pairing)
+            for h in (c.h.free, [x - y for x, y in zip(total, c.h.free)])
         )
-    return out
+        for c in alpha.components
+    ]
 
 
 def _writhe(kind: str, i: int, value, vectors) -> tuple[int, int]:
@@ -602,10 +594,9 @@ def is_free(M: ManifoldModel, module_tag: str):
     pairing as witness.
     """
     for t in _freeness_generators(M, module_tag):
-        for k in range(M.h1_rank):
-            e = HomologyClass1(_unit(M.h1_rank, k))
-            if M.pairing_eval(t, e) != 0:
-                return False, (t, e)
+        for k, x in enumerate(M._covector(t.vec)):
+            if x != 0:
+                return False, (t, HomologyClass1(_unit(M.h1_rank, k)))
     return True, None
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "combination_span",
     "literal_pairing",
     "literal_gamma_mu",
+    "sweep_wedges",
 ]
 
 
@@ -79,8 +80,13 @@ def _torus_vectors(M, cid, h):
         if key == cid:
             return [g.vec for g in gens]
     if M.torus_rule == "sweep":
-        return [(0, h[2], -h[1]), (-h[2], 0, h[0]), (h[1], -h[0], 0)]
+        return sweep_wedges(h)
     return [g.vec for g in M.torus_default]
+
+
+def sweep_wedges(h):
+    """The wedges h ^ e_k, k = 1, 2, 3, in the (e2^e3, e3^e1, e1^e2) basis."""
+    return [(0, h[2], -h[1]), (-h[2], 0, h[0]), (h[1], -h[0], 0)]
 
 
 def literal_gamma_mu(M, comps):

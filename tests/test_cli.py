@@ -624,3 +624,36 @@ def test_error_lines_are_single_line_even_for_aggregates(tmp_path):
     assert res.returncode == 2
     assert res.stderr.startswith("error:parse:")
     assert len(res.stderr.strip().splitlines()) == 1
+
+
+def test_empty_builtin_parameters_are_parse_errors():
+    for argv in (
+        ("index", "--manifold", "lens(5,,1)", "--alpha", "[]"),
+        ("freeness", "--manifold", "handlebody(2,)"),
+    ):
+        res = run(*argv)
+        assert res.returncode == 2, argv
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error:parse:"), argv
+    for manifold in ("S3()", "lens( 5 , 1 )"):
+        assert run("index", "--manifold", manifold, "--alpha", "[]").returncode == 0, manifold
+
+
+def test_freeness_json_carries_the_reason(tmp_path):
+    no_homology, vanishing = tmp_path / "no_homology.json", tmp_path / "vanishing.json"
+    for path, h1_rank, pairing in ((no_homology, 0, [[]]), (vanishing, 1, [[0]])):
+        doc = {"name": "X", "h1_rank": h1_rank, "h2_rank": 1, "pairing": pairing,
+               "torus_default": [[1]]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    cases = (
+        ("S3", "free (no torus classes)", "no torus classes"),
+        (str(no_homology), "free (no homology to pair against)", "no homology to pair against"),
+        (str(vanishing), "free (all torus pairings vanish)", "all torus pairings vanish"),
+        ("S2xS1", "NOT free; witness torus [1] pairs 1 with class [1]", None),
+    )
+    for manifold, text, reason in cases:
+        assert run("freeness", "--manifold", manifold).stdout.splitlines()[-1] == text
+        payload = json.loads(run("freeness", "--manifold", manifold, "--json").stdout)
+        assert payload["free"] is (reason is not None)
+        assert payload.get("reason") == reason
+        assert ("witness" in payload) is (reason is None)

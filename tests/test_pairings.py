@@ -1,16 +1,43 @@
 """Indices built from cached pairing records, checked against the literal sums."""
 
+import time
 import tracemalloc
 from math import gcd
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import invariant_profile, literal_gamma_mu, literal_pairing, member_by_invariants
+from oracles import (
+    invariant_profile,
+    literal_gamma_mu,
+    literal_pairing,
+    member_by_invariants,
+    sweep_wedges,
+)
 from skeinmod import cli
-from skeinmod.manifold import ClassLabel, HomologyClass1, builtin, load_model, model_from_document
-from skeinmod.skein import LinkClass, class_pairings, gamma_prime, link_index
+from skeinmod.errors import DimensionError
+from skeinmod.manifold import (
+    ClassLabel,
+    HomologyClass1,
+    HomologyClass2,
+    ManifoldModel,
+    _unit,
+    builtin,
+    class_to_entry,
+    load_model,
+    model_from_document,
+)
+from skeinmod.skein import (
+    MODULE_TAGS,
+    LinkClass,
+    class_pairings,
+    evaluate_trace_document,
+    gamma_prime,
+    is_free,
+    link_index,
+)
 
 FIXTURE_MANIFOLD = Path(__file__).parent / "golden" / "fixture_manifold.json"
 IDS = ("a", "b", "c")
@@ -150,3 +177,206 @@ def test_covectors_of_no_generators_build_no_basis():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _vector(n):
+    return st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+
+
+@st.composite
+def model_and_generators(draw):
+    M = draw(models())
+    vecs = draw(st.lists(_vector(M.h2_rank), max_size=3))
+    return M, tuple(HomologyClass2(tuple(t)) for t in vecs)
+
+
+@settings(max_examples=150)
+@given(model_and_generators())
+def test_covectors_equal_the_literal_sums(case):
+    M, gens = case
+    listed = (M.torus_default, M.sphere_gens, *(v for _, v in M.torus_exceptions))
+    basis = [_unit(M.h1_rank, k) for k in range(M.h1_rank)]
+    for some in (gens, *listed):
+        covectors = M.covectors(some)
+        assert len(covectors) == len(some)
+        for t, covector in zip(some, covectors):
+            assert covector == tuple(literal_pairing(M.pairing, t.vec, e) for e in basis)
+
+
+def _literal_freeness_generators(M, tag):
+    """Sphere generators for w; else the default list, each exception list and
+    the sweep wedges of every basis vector, in that order."""
+    if tag == "w":
+        return [s.vec for s in M.sphere_gens]
+    gens = [t.vec for t in M.torus_default]
+    gens += [t.vec for _, vecs in M.torus_exceptions for t in vecs]
+    if M.torus_rule == "sweep":
+        gens += [w for k in range(3) for w in sweep_wedges(_unit(3, k))]
+    return gens
+
+
+@settings(max_examples=150)
+@given(models())
+def test_is_free_equals_the_literal_sums(M):
+    for tag in MODULE_TAGS:
+        nonzero = [
+            (t, e)
+            for t in _literal_freeness_generators(M, tag)
+            for e in (_unit(M.h1_rank, k) for k in range(M.h1_rank))
+            if literal_pairing(M.pairing, t, e) != 0
+        ]
+        free, witness = is_free(M, tag)
+        assert free == (not nonzero)
+        if nonzero:
+            assert (witness[0].vec, witness[1].free) == nonzero[0]
+        else:
+            assert witness is None
+
+
+@settings(max_examples=150)
+@given(models(), st.sampled_from((-1, 1)))
+def test_covectors_of_a_wrong_length_generator_raise(M, off):
+    t = HomologyClass2((1,) * max(M.h2_rank + off, 0))
+    assume(len(t.vec) != M.h2_rank)
+    with pytest.raises(DimensionError, match=rf"^2-class .* expected h2_rank = {M.h2_rank}$"):
+        M.covectors((t,))
+
+
+def test_wide_models_pair_in_linear_time():
+    # a covector costs O(h1_rank) per nonzero entry of t; at O(h1_rank^2)
+    # each of these takes seconds
+    M = model_from_document(
+        {"name": "wide", "h1_rank": 6000, "h2_rank": 1, "pairing": [[0] * 6000],
+         "torus_default": [[1]]}
+    )
+    start = time.process_time()
+    assert is_free(M, "s") == (True, None)
+    assert time.process_time() - start < 1
+    start = time.process_time()
+    assert M.covectors((HomologyClass2((2,)),)) == ((0,) * 6000,)
+    assert time.process_time() - start < 1
+
+
+def test_is_free_stops_at_the_first_nonzero_pairing():
+    # covectors of all 300,000 generators take about a second; the first one
+    # already pairs nonzero
+    M = ManifoldModel(name="long", h1_rank=1, h2_rank=1, pairing=((1,),),
+                      torus_default=(HomologyClass2((1,)),) * 300_000)
+    start = time.process_time()
+    assert is_free(M, "s") == (False, (HomologyClass2((1,)), HomologyClass1((1,))))
+    assert time.process_time() - start < 0.25
+
+
+# -- basis independence ------------------------------------------------------
+
+
+@st.composite
+def unimodular(draw, n):
+    """(U, U^-1) for a random U in GL(n, Z), built from elementary operations."""
+    U = [list(_unit(n, k)) for k in range(n)]
+    U_inv = [list(_unit(n, k)) for k in range(n)]
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            # add c times row j to row i; the inverse subtracts c times column i from column j
+            c = draw(st.integers(-2, 2))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+            for row in U_inv:
+                row[j] -= c * row[i]
+        else:
+            U[i] = [-a for a in U[i]]
+            for row in U_inv:
+                row[i] = -row[i]
+    return U, U_inv
+
+
+def _apply(A, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+
+
+def _product(A, B, columns):
+    """A B, where B has the given number of columns (it may have no rows)."""
+    return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(columns)] for row in A]
+
+
+@st.composite
+def change_of_basis(draw):
+    """A model, a link class of distinct named classes and a valid trace over
+    it, then the same data in new bases of H1 and H2: h -> U h, t -> V t and
+    P -> V^-T P U^-1, so every pairing t^T P h stays the same."""
+    M = draw(models())
+    n1, n2 = M.h1_rank, M.h2_rank
+    (U, U_inv), (V, V_inv) = draw(unimodular(n1)), draw(unimodular(n2))
+    assert _product(U, U_inv, n1) == [list(_unit(n1, k)) for k in range(n1)]
+    assert _product(V, V_inv, n2) == [list(_unit(n2, k)) for k in range(n2)]
+    ids = draw(st.lists(st.sampled_from(("a", "b", "c", "d")), unique=True))
+    named = [ClassLabel(cid, HomologyClass1(tuple(draw(st.lists(
+        st.integers(-5, 5), min_size=n1, max_size=n1))))) for cid in ids]
+    alpha = LinkClass(tuple(draw(st.lists(st.sampled_from(named), max_size=4))) if named else ())
+    r = alpha.size
+    moves = []
+    for _ in range(draw(st.integers(0, 6)) if r else 0):
+        kind = draw(st.sampled_from(("twist", "self_cross", "mixed_cross", "slide")))
+        move = {"type": kind, "i": draw(st.integers(1, r))}
+        if kind == "slide":
+            move["t"] = draw(_vector(n2))
+        elif kind == "mixed_cross" and r == 1:
+            continue
+        else:
+            move["s"] = draw(st.sampled_from((1, -1)))
+            if kind == "mixed_cross":
+                move["j"] = move["i"] % r + 1
+        moves.append(move)
+
+    def moved_classes(classes):
+        return [ClassLabel(c.id, HomologyClass1(_apply(U, c.h.free), c.h.torsion_tag))
+                for c in classes]
+
+    def moved_vectors(gens):
+        return [list(_apply(V, t.vec)) for t in gens]
+
+    exceptions = dict(M.torus_exceptions)
+    default = list(M.torus_default)
+    if M.torus_rule == "sweep":
+        # the rule reads h's coordinates: list its output for the classes in
+        # use, and keep the wedges of the basis vectors for freeness
+        for c in named:
+            exceptions.setdefault(c.id, M.torus_subgroup(c))
+        default += [g for k in range(3) for g in M.rule_generators(HomologyClass1(_unit(3, k)))]
+    V_inv_T = [list(col) for col in zip(*V_inv)]
+    M2 = model_from_document(
+        {
+            "name": M.name,
+            "h1_rank": n1,
+            "h2_rank": n2,
+            "pairing": _product(_product(V_inv_T, M.pairing, n1), U_inv, n1),
+            "torus_default": moved_vectors(default),
+            "torus_exceptions": {cid: moved_vectors(vecs) for cid, vecs in exceptions.items()},
+            "sphere_gens": moved_vectors(M.sphere_gens),
+            "classes": [class_to_entry(c) for c in moved_classes(M.classes)],
+        }
+    )
+    alpha2 = LinkClass(tuple(moved_classes(alpha.components)))
+    moves2 = [dict(mv, t=list(_apply(V, mv["t"]))) if "t" in mv else mv for mv in moves]
+    return (
+        (M, alpha, {"alpha": [class_to_entry(c) for c in alpha.components], "moves": moves}),
+        (M2, alpha2, {"alpha": [class_to_entry(c) for c in alpha2.components], "moves": moves2}),
+    )
+
+
+@settings(max_examples=150)
+@given(change_of_basis())
+def test_nothing_depends_on_the_bases_of_h1_and_h2(case):
+    (M, alpha, trace), (M2, alpha2, trace2) = case
+    assert alpha2.render() == alpha.render()
+    idx = link_index(M, alpha)
+    assert link_index(M2, alpha2) == idx
+    for tag in MODULE_TAGS:
+        assert is_free(M2, tag)[0] == is_free(M, tag)[0]
+        assert link_index(M2, alpha2).summand(tag).render() == idx.summand(tag).render()
+    _, raw, element = evaluate_trace_document(trace, M)
+    _, raw2, element2 = evaluate_trace_document(trace2, M2)
+    assert raw2 == raw
+    assert element2.render() == element.render()
+    for tag in ("s", "l", "w"):
+        assert element2.specialize(tag).render() == element.specialize(tag).render()
