@@ -18,7 +18,9 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from functools import cache
+from functools import cache, lru_cache
+from math import gcd
+from operator import add
 
 from .errors import DimensionError, ParseError
 from .laurent import LaurentPoly2
@@ -107,10 +109,10 @@ def _members_json(fields: dict, depth: int) -> str:
     )
 
 
-def _row_json(alpha: LinkClass, entries, members: str) -> str:
-    """One element of "rows": the alpha's class entries (entries gives a class's
+def _row_json(components, entries, members: str) -> str:
+    """One element of "rows": an alpha's class entries (entries gives a class's
     text, _indented at depth 4), then members (_members_json at depth 3)."""
-    inner = ",\n        ".join(map(entries, alpha.components))
+    inner = ",\n        ".join(map(entries, components))
     listed = f"[\n        {inner}\n      ]" if inner else "[]"
     return f'    {{\n      "alpha": {listed},\n      {members}\n    }}'
 
@@ -158,24 +160,90 @@ def cmd_index(args) -> list[str]:
     return lines
 
 
+# the single classes a decompose walk keeps the pairing records of; past this
+# many, a single's record is made again at each visit
+_SINGLES_KEPT = 4096
+
+
+def _fold_pairings(firsts: dict, seconds: dict, pairs):
+    """A link class's folded pairings with one more class's (t, a) pairs folded
+    in: firsts maps each covector t to a_t, the first pairing t.h_i, and
+    seconds maps t to a_t + g_t when g_t, the gcd of the differences of the
+    t.h_i, is not 0."""
+    firsts, seconds = dict(firsts), dict(seconds)
+    for t, a in pairs:
+        first = firsts.setdefault(t, a)
+        if a != first:
+            seconds[t] = first + gcd(seconds.get(t, first) - first, a - first)
+    return firsts, seconds
+
+
+def _folded_records(firsts: dict, seconds: dict, mu: int):
+    """Two pairing records for gamma_prime, each t with a_t and each t with
+    a_t + g_t. With T = t.H, (a_t, T - a_t) and (a_t + g_t, T - a_t - g_t)
+    span what (a, T - a) spans over t's pairings a, which differ from a_t by
+    the multiples of g_t."""
+    return (firsts, firsts.values(), mu), (seconds, seconds.values(), mu)
+
+
 def _enumerate_alphas(M: ManifoldModel, bound: int):
-    """(alpha, link_index) for all multisets alpha of size <= bound over classes
-    with coordinates in [-bound, bound], ordered by size then lexicographically.
-    Each single class's pairing record is computed once."""
-    empty = LinkClass(())
-    yield empty, link_index(M, empty)
-    if M.h1_rank == 0 or bound == 0:
+    """(components, alpha text, link_index) for all multisets alpha of size <=
+    bound over classes with coordinates in [-bound, bound], ordered by size
+    then lexicographically. A depth-first walk over nondecreasing single
+    indices carries each prefix's H, folded pairings, mu, components and text,
+    so a row folds one class into its prefix and builds Gamma' once."""
+    yield (), "", link_index(M, None, (), ())
+    rank = M.h1_rank
+    if rank == 0 or bound == 0:
         return
-    # product yields the singles in ClassLabel.sort_key order, since a
-    # coordinate id collates as (0, free); combinations keep that order, so
-    # LinkClass keeps the labels' order and the pairings line up with them
-    vecs = itertools.product(range(-bound, bound + 1), repeat=M.h1_rank)
-    records = [(c, class_pairings(M, c)) for c in map(ClassLabel.coordinate, vecs)]
+    side = 2 * bound + 1
+    count = side**rank
+    # LinkClass.render's separator for coordinate labels
+    sep = "," if rank == 1 else "; "
+
+    @lru_cache(maxsize=_SINGLES_KEPT)
+    def single(k):
+        # the k-th class of product(range(-bound, bound + 1), repeat=rank),
+        # which is ClassLabel.sort_key order since a coordinate id collates
+        # as (0, free)
+        coords = [0] * rank
+        for pos in range(rank - 1, -1, -1):
+            k, digit = divmod(k, side)
+            coords[pos] = digit - bound
+        label = ClassLabel.coordinate(coords)
+        covectors, values, mu = class_pairings(M, label)
+        return label, tuple(zip(covectors, values)), mu
+
+    def extend(prefix, k):
+        total, firsts, seconds, mu, components, text = prefix
+        label, pairs, class_mu = single(k)
+        return (
+            tuple(map(add, total, label.h.free)),
+            *_fold_pairings(firsts, seconds, pairs),
+            gcd(mu, class_mu),
+            components + (label,),
+            text + sep + label.id if components else label.id,
+        )
+
+    root = ((0,) * rank, {}, {}, 0, (), "")
     for size in range(1, bound + 1):
-        for combo in itertools.combinations_with_replacement(records, size):
-            labels, pairings = zip(*combo)
-            alpha = LinkClass(labels)
-            yield alpha, link_index(M, alpha, pairings)
+        # each level: a prefix of size - 1 or fewer classes and the least
+        # index that may extend it
+        stack = [[root, 0]]
+        while stack:
+            level = stack[-1]
+            prefix, low = level
+            if len(stack) == size:
+                for k in range(low, count):
+                    total, firsts, seconds, mu, components, text = extend(prefix, k)
+                    records = _folded_records(firsts, seconds, mu)
+                    yield components, text, link_index(M, None, records, total)
+                stack.pop()
+            elif low == count:
+                stack.pop()
+            else:
+                level[1] = low + 1
+                stack.append([extend(prefix, low), low])
 
 
 def cmd_decompose(args) -> Iterable[str]:
@@ -191,22 +259,23 @@ def cmd_decompose(args) -> Iterable[str]:
         )
     module = args.module
     indexed = _enumerate_alphas(M, args.bound)
-    # each class entry and each index's text are formatted once; the caches
-    # belong to these functions, made anew for each run
+    # each index's text is formatted once, and a class entry once while it is
+    # among the last _SINGLES_KEPT used; the caches belong to these functions,
+    # made anew for each run
     if args.json:
-        entries = cache(lambda c: _indented(class_to_entry(c), 4))
+        entries = lru_cache(maxsize=_SINGLES_KEPT)(lambda c: _indented(class_to_entry(c), 4))
         members = cache(lambda idx: _members_json(
             {"eps_prime": list(idx.eps_prime), **_summand_json(idx.summand(module))}, 3
         ))
         head = {"manifold": M.name, "module": module, "bound": args.bound}
-        rows = (_row_json(alpha, entries, members(idx)) for alpha, idx in indexed)
+        rows = (_row_json(components, entries, members(idx)) for components, _, idx in indexed)
         return _json_lines(head, rows)
     tail = cache(
         lambda idx: f"eps'={_tuple_str(idx.eps_prime)} {idx.summand(module).render(' ')}"
     )
     return itertools.chain(
         (f"manifold: {M.name}", f"module: {module}", f"bound: {args.bound}"),
-        (f"alpha={alpha.render()} {tail(idx)}" for alpha, idx in indexed),
+        ("alpha=[" + text + "] " + tail(idx) for _, text, idx in indexed),
     )
 
 
@@ -304,7 +373,7 @@ def cmd_table(args) -> Iterable[str]:
             **_index_json(idx),
             "sprime_relations": [p.render(" ") for p in idx.summand("sprime").relations],
         }, 3))
-        rows = (_row_json(alpha, entries, members(idx)) for alpha, idx in indexed)
+        rows = (_row_json(alpha.components, entries, members(idx)) for alpha, idx in indexed)
         return _json_lines({"manifold": M.name}, rows)
     tail = cache(lambda idx: f"{_index_text(idx)} S'={idx.summand('sprime').render(' ')}")
     return itertools.chain(

@@ -61,9 +61,7 @@ class ExponentLattice:
     __slots__ = ("gens", "canon")
 
     def __init__(self, gens=()):
-        self.gens: tuple[tuple[int, int], ...] = tuple(
-            (int(a), int(b)) for a, b in gens
-        )
+        self.gens: tuple[tuple[int, int], ...] = tuple(map(tuple, gens))
         self.canon: tuple[int, int, int] = self._canonicalize()
 
     def _canonicalize(self) -> tuple[int, int, int]:

@@ -182,15 +182,25 @@ class ManifoldModel:
 
     def covectors(self, gens: tuple[HomologyClass2, ...]) -> tuple[tuple[int, ...], ...]:
         """The covector t^T P of each generator t, so t pairs with h as their
-        dot product. Kept for the listed generator lists (torus_default, each
-        torus_exceptions list, sphere_gens); computed for any other list."""
-        listed = self._listed_covectors.get(gens)
-        return listed if listed is not None else tuple(self._covector(t.vec) for t in gens)
+        dot product. Kept for each listed generator list (torus_default, each
+        torus_exceptions list, sphere_gens) from its first use; computed for
+        any other list, such as the sweep rule's."""
+        kept = self._kept_covectors.get(gens)
+        if kept is None:
+            kept = tuple(self._covector(t.vec) for t in gens)
+            # the model holds its listed lists, so no other list has their ids
+            listed = gens is self.torus_default or gens is self.sphere_gens
+            if listed or id(gens) in self._exception_list_ids:
+                self._kept_covectors[gens] = kept
+        return kept
 
     @cached_property
-    def _listed_covectors(self) -> dict:
-        lists = (self.torus_default, self.sphere_gens, *(v for _, v in self.torus_exceptions))
-        return {gens: tuple(self._covector(t.vec) for t in gens) for gens in lists}
+    def _exception_list_ids(self) -> set:
+        return {id(vecs) for _cid, vecs in self.torus_exceptions}
+
+    @cached_property
+    def _kept_covectors(self) -> dict:
+        return {}
 
     # -- torus and sphere subgroups ------------------------------------------
 
@@ -213,12 +223,17 @@ class ManifoldModel:
                 f"1-class {_vec_str(c.h.free)} has length {len(c.h.free)}, "
                 f"expected h1_rank = {self.h1_rank}"
             )
-        for cid, vecs in self.torus_exceptions:
-            if cid == c.id:
-                return vecs
+        listed = self._exceptions_by_id.get(c.id)
+        if listed is not None:
+            return listed
         if self.torus_rule is not None:
             return self.rule_generators(c.h)
         return self.torus_default
+
+    @cached_property
+    def _exceptions_by_id(self) -> dict:
+        # read backwards, so the first list keyed by an id is the one kept
+        return dict(reversed(self.torus_exceptions))
 
     def sphere_subgroup(self) -> tuple[HomologyClass2, ...]:
         return self.sphere_gens

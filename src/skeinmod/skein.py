@@ -226,16 +226,21 @@ def class_pairings(M: ManifoldModel, c: ClassLabel):
     return covectors, tuple(_dot(t, h) for t in covectors), mu
 
 
-def gamma_prime(M: ManifoldModel, alpha: LinkClass, pairings=None) -> ExponentLattice:
+def gamma_prime(
+    M: ManifoldModel, alpha: LinkClass | None, pairings=None, total=None
+) -> ExponentLattice:
     """Exponent lattice generated by (t.h_i, t.(H - h_i)) over components i and
     torus generators t of component i's class, H the sum of all h_i.
 
     pairings, the class_pairings of alpha's components in order, is computed
-    when not given.
+    when not given; so is total, H as a vector. Any records whose (t, a) pairs
+    give generators (a, t.H - a) that span Gamma' will do, such as a walk's
+    folded ones: given both pairings and total, alpha is not read.
     """
     if pairings is None:
         pairings = [class_pairings(M, c) for c in alpha.components]
-    total = [sum(col) for col in zip(*(c.h.free for c in alpha.components))]
+    if total is None:
+        total = [sum(col) for col in zip(*(c.h.free for c in alpha.components))]
     on_total: dict = {}  # t.H, once per distinct covector
     gens = []
     for covectors, values, _mu in pairings:
@@ -307,15 +312,17 @@ class LinkIndex(NamedTuple):
         return SummandRelations(tag, (LaurentPoly1.monomial(2 * pe) - LaurentPoly1.one(),))
 
 
-def link_index(M: ManifoldModel, alpha: LinkClass, pairings=None) -> LinkIndex:
+def link_index(
+    M: ManifoldModel, alpha: LinkClass | None, pairings=None, total=None
+) -> LinkIndex:
     """All indices of alpha from one build of Gamma'; mu is the gcd of the
-    classes' sphere gcds. pairings is as for gamma_prime."""
+    records' sphere gcds. pairings and total are as for gamma_prime."""
     if pairings is None:
         pairings = [class_pairings(M, c) for c in alpha.components]
-    lat = gamma_prime(M, alpha, pairings)
-    t = IndexTriple(*lat.index_triple())
-    mu = gcd(*(class_mu for _covectors, _values, class_mu in pairings))
-    return LinkIndex(t, lat.sum_image(), mu, abs(t.e2))
+    lat = gamma_prime(M, alpha, pairings, total)
+    e1, e2, e3 = lat.index_triple()
+    mu = gcd(*[record[2] for record in pairings])
+    return LinkIndex(IndexTriple(e1, e2, e3), lat.sum_image(), mu, abs(e2))
 
 
 def epsilon_prime(M: ManifoldModel, alpha: LinkClass) -> IndexTriple:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output strings, determinism, exit codes."""
 
+import itertools
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import selectors
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -124,6 +126,41 @@ def test_decompose_bound_zero_on_a_huge_genus():
         "manifold": genus, "module": "sprime", "bound": 0,
         "rows": [{"alpha": [], "eps_prime": [0, 0, 0], "relations": [], "free": True}],
     }
+
+
+def test_decompose_prints_one_row_per_multiset_of_singles(capsys):
+    # C(n + B, B) multisets of at most B of the n = (2B+1)^h1_rank single
+    # classes; with h1_rank 0 there is no single, only the empty link
+    cases = [("S3", b) for b in range(3)] + [("S2xS1", b) for b in range(5)]
+    cases += [("T3", b) for b in range(3)] + [(str(FIXTURE_MANIFOLD), b) for b in range(3)]
+    cases += [(f"handlebody({g})", b) for g in range(4) for b in range(3)]
+    for name, bound in cases:
+        rank = cli.resolve_manifold(name).h1_rank
+        singles = (2 * bound + 1) ** rank if rank else 0
+        expected = comb(singles + bound, bound)
+        argv = ("decompose", "--manifold", name, "--bound", str(bound))
+        text = _main_out(capsys, *argv)
+        assert sum(line.startswith("alpha=") for line in text.splitlines()) == expected, argv
+        assert len(json.loads(_main_out(capsys, *argv, "--json"))["rows"]) == expected, argv
+
+
+def test_decompose_on_genus_39_yields_rows_at_once():
+    # 3^39 single classes: no list of them may come before the first row
+    ones = ["-1"] * 39
+    singles = [",".join(ones), ",".join(ones[:-1] + ["0"])]
+    for extra in ((), ("--json",)):
+        args = cli._build_parser().parse_args(
+            ["decompose", "--manifold", "handlebody(39)", "--bound", "1", *extra]
+        )
+        start = time.process_time()
+        lines = list(itertools.islice(cli.cmd_decompose(args), 4 if extra else 6))
+        assert time.process_time() - start < 1
+        if extra:
+            rows = [json.loads(row.rstrip(",")) for row in lines[1:]]
+            ids = [[c["id"] for c in row["alpha"]] for row in rows]
+            assert ids == [[], *([s] for s in singles)]
+        else:
+            assert lines[3:] == [f"alpha=[{s}] eps'=(0,0,0) R' (free)" for s in ("", *singles)]
 
 
 def test_decompose_rows_increase_by_sort_key(capsys):

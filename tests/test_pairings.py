@@ -6,7 +6,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -23,6 +23,7 @@ from skeinmod.manifold import (
     HomologyClass1,
     HomologyClass2,
     ManifoldModel,
+    _dot,
     _unit,
     builtin,
     class_to_entry,
@@ -54,6 +55,12 @@ def models(draw):
     def vecs(n, most):
         return [vec(n) for _ in range(draw(st.integers(0, most)))]
 
+    # exception lists are keyed by table ids, an unused id and coordinate
+    # ids such as "1" or "1,0,-1", which coordinate classes meet
+    coordinate_ids = st.lists(st.integers(-1, 1), min_size=n1, max_size=n1).map(
+        ClassLabel.coordinate_id
+    )
+    exception_ids = st.one_of(st.sampled_from(IDS + ("x",)), coordinate_ids)
     classes = []
     for cid in draw(st.lists(st.sampled_from(IDS), unique=True)):
         entry = {"id": cid, "h": vec(n1)}
@@ -67,7 +74,7 @@ def models(draw):
         "pairing": [vec(n1) for _ in range(n2)],
         "torus_default": vecs(n2, 3),
         "torus_exceptions": {
-            cid: vecs(n2, 2) for cid in draw(st.lists(st.sampled_from(IDS + ("x",)), unique=True))
+            cid: vecs(n2, 2) for cid in draw(st.lists(exception_ids, unique=True, max_size=4))
         },
         "sphere_gens": vecs(n2, 2),
         "classes": classes,
@@ -121,6 +128,57 @@ def test_link_index_equals_the_literal_sums(case):
     pairings = [class_pairings(M, c) for c in alpha.components]
     assert link_index(M, alpha, pairings) == idx
     assert gamma_prime(M, alpha, pairings).canon == gamma_prime(M, alpha).canon
+
+
+@st.composite
+def model_and_components(draw):
+    """A model and 0 to 5 components: coordinate classes (coordinates in
+    [-2, 2], so coordinate-keyed exception lists apply), table classes and
+    inline classes with torsion tags."""
+    M = draw(models())
+    labels = []
+    for _ in range(draw(st.integers(0, 5))):
+        h = tuple(draw(st.integers(-2, 2)) for _ in range(M.h1_rank))
+        kind = draw(st.sampled_from(("table", "coordinate", "inline")))
+        if kind == "table" and M.classes:
+            labels.append(draw(st.sampled_from(M.classes)))
+        elif kind == "inline":
+            tag = draw(st.sampled_from((None, "t", "u")))
+            cid = draw(st.sampled_from(IDS + ("x", ClassLabel.coordinate_id(h))))
+            labels.append(ClassLabel(cid, HomologyClass1(h, tag)))
+        else:
+            labels.append(ClassLabel.coordinate(h))
+    return M, LinkClass(tuple(labels))
+
+
+@settings(max_examples=150)
+@given(model_and_components())
+# pairings -2, -1, 1 of one covector: g_t = gcd(1, 3), not the last difference
+@example((builtin("S2xS1"), LinkClass(tuple(ClassLabel.coordinate((x,)) for x in (-2, -1, 1)))))
+def test_folded_records_build_the_same_gamma_prime(case):
+    # decompose's walk folds each component's (t, a) pairs into a_t and g_t
+    # per covector and builds Gamma' from at most two records per covector
+    M, alpha = case
+    firsts, seconds, mu = {}, {}, 0
+    for c in alpha.components:
+        covectors, values, class_mu = class_pairings(M, c)
+        firsts, seconds = cli._fold_pairings(firsts, seconds, zip(covectors, values))
+        mu = gcd(mu, class_mu)
+    total = [sum(c.h.free[k] for c in alpha.components) for k in range(M.h1_rank)]
+    folded = cli._folded_records(firsts, seconds, mu)
+    # given the records and H, alpha is not read
+    lat = gamma_prime(M, None, folded, total)
+    assert lat.canon == gamma_prime(M, alpha).canon
+    assert len(lat.gens) <= 2 * len(firsts)
+    gens, literal_mu = literal_gamma_mu(M, [(c.id, c.h.free) for c in alpha.components])
+    assert invariant_profile(lat.gens) == invariant_profile(gens)
+    assert all(member_by_invariants(gens, g) for g in lat.gens)
+    assert all(member_by_invariants(lat.gens, g) for g in gens)
+    idx = link_index(M, None, folded, total)
+    assert idx == link_index(M, alpha)
+    assert idx.mu == literal_mu
+    present = {t for c in alpha.components for t in class_pairings(M, c)[0]}
+    assert idx.eps == _gcd_abs(sum(x * y for x, y in zip(t, total)) for t in present)
 
 
 def _rows(capsys, manifold, bound, module="sprime"):
@@ -255,6 +313,43 @@ def test_wide_models_pair_in_linear_time():
     start = time.process_time()
     assert M.covectors((HomologyClass2((2,)),)) == ((0,) * 6000,)
     assert time.process_time() - start < 1
+
+
+def test_many_exception_lists_cost_per_use():
+    # a class reads one generator list: neither the covectors of the other
+    # 99,999 lists nor a scan of their ids may come with it
+    n = 100_000
+    ids = [ClassLabel.coordinate_id((i // 2500 - 20, i // 50 % 50 - 25, i % 50 - 25))
+           for i in range(n)]
+    M = ManifoldModel(
+        name="many", h1_rank=3, h2_rank=1, pairing=((1, 2, 3),),
+        torus_default=(HomologyClass2((1,)),), sphere_gens=(HomologyClass2((2,)),),
+        torus_exceptions=tuple(
+            (cid, (HomologyClass2((i % 7 - 3,)),)) for i, cid in enumerate(ids)
+        ),
+    )
+    start = time.process_time()
+    assert class_pairings(M, ClassLabel.coordinate((100, 0, -1))) == (((1, 2, 3),), (97,), 194)
+    assert time.process_time() - start < 0.05
+    # 1,000 classes, half of them keyed by an exception list
+    classes = [ClassLabel.coordinate((x, y, z)) for x in (0, 50) for y in range(-5, 5)
+               for z in range(-25, 25)]
+    start = time.process_time()
+    records = [class_pairings(M, c) for c in classes]
+    assert time.process_time() - start < 1
+    position = {cid: i for i, cid in enumerate(ids)}
+    for c, (covectors, values, _mu) in zip(classes, records):
+        t = position[c.id] % 7 - 3 if c.id in position else 1
+        assert covectors == ((t, 2 * t, 3 * t),) and values == (_dot(covectors[0], c.h.free),)
+    assert sum(c.id in position for c in classes) == 500
+
+
+def test_the_first_exception_list_keyed_by_an_id_counts():
+    first, second = (HomologyClass2((2,)),), (HomologyClass2((3,)),)
+    M = ManifoldModel(name="twice", h1_rank=1, h2_rank=1, pairing=((1,),),
+                      torus_exceptions=(("1", first), ("1", second)))
+    assert M.torus_subgroup(ClassLabel.coordinate((1,))) is first
+    assert class_pairings(M, ClassLabel.coordinate((1,)))[:2] == (((2,),), (2,))
 
 
 def test_is_free_stops_at_the_first_nonzero_pairing():
