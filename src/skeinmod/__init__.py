@@ -3,110 +3,24 @@
 The public surface: Laurent rings and specialization maps (laurent),
 rank <= 2 exponent lattices with a canonical triple (lattice), homological
 manifold models (manifold), indices / summands / traces / skein elements
-(skein), and the command-line front end (cli).
+(skein), and the command-line front end (cli). Each public name is declared
+once, in its module's __all__; this package re-exports those lists.
 """
 
-from .errors import DimensionError, ParseError, SkeinModError
-from .lattice import ExponentLattice
-from .laurent import (
-    AUGMENTATION,
-    SPECIALIZE_L,
-    SPECIALIZE_S,
-    SPECIALIZE_W,
-    LaurentPoly1,
-    LaurentPoly2,
-    SpecializationMap,
-)
-from .manifold import (
-    BUILTIN_NAMES,
-    ClassLabel,
-    HomologyClass1,
-    HomologyClass2,
-    ManifoldModel,
-    builtin,
-    load_model,
-    model_from_document,
-    model_to_document,
-)
-from .skein import (
-    MODULE_TAGS,
-    IndexTriple,
-    LinkClass,
-    LinkIndex,
-    MixedCross,
-    MoveTrace,
-    SelfCross,
-    SkeinElement,
-    Slide,
-    SummandRelations,
-    Twist,
-    WrithePair,
-    alpha_from_refs,
-    class_pairings,
-    epsilon,
-    epsilon_prime,
-    evaluate_trace_document,
-    gamma_prime,
-    is_free,
-    link_index,
-    load_trace,
-    mu_index,
-    sphere_torus_discrepancies,
-    summand,
-    torsion_annihilator,
-    trace_evaluate,
-    trace_from_document,
-)
+from . import errors, lattice, laurent, manifold, skein
+from .errors import *
+from .lattice import *
+from .laurent import *
+from .manifold import *
+from .skein import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SkeinModError",
-    "ParseError",
-    "DimensionError",
-    "LaurentPoly1",
-    "LaurentPoly2",
-    "SpecializationMap",
-    "SPECIALIZE_S",
-    "SPECIALIZE_L",
-    "SPECIALIZE_W",
-    "AUGMENTATION",
-    "ExponentLattice",
-    "HomologyClass1",
-    "HomologyClass2",
-    "ClassLabel",
-    "ManifoldModel",
-    "builtin",
-    "BUILTIN_NAMES",
-    "model_from_document",
-    "model_to_document",
-    "load_model",
-    "MODULE_TAGS",
-    "LinkClass",
-    "IndexTriple",
-    "LinkIndex",
-    "WrithePair",
-    "Twist",
-    "SelfCross",
-    "MixedCross",
-    "Slide",
-    "MoveTrace",
-    "SummandRelations",
-    "SkeinElement",
-    "class_pairings",
-    "gamma_prime",
-    "link_index",
-    "epsilon_prime",
-    "epsilon",
-    "mu_index",
-    "summand",
-    "trace_evaluate",
-    "torsion_annihilator",
-    "is_free",
-    "sphere_torus_discrepancies",
-    "alpha_from_refs",
-    "trace_from_document",
-    "evaluate_trace_document",
-    "load_trace",
+    *errors.__all__,
+    *lattice.__all__,
+    *laurent.__all__,
+    *manifold.__all__,
+    *skein.__all__,
     "__version__",
 ]

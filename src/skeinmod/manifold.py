@@ -25,11 +25,7 @@ __all__ = [
     "builtin",
     "model_from_document",
     "model_to_document",
-    "class_from_entry",
-    "class_to_entry",
     "load_model",
-    "read_json",
-    "int_digit_limit",
     "BUILTIN_NAMES",
 ]
 

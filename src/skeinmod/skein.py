@@ -601,6 +601,8 @@ def is_free(M: ManifoldModel, module_tag: str):
     pairing as witness.
     """
     for t in _freeness_generators(M, module_tag):
+        if not any(t.vec):  # pairs to 0 with every class: never a witness
+            continue
         for k, x in enumerate(M._covector(t.vec)):
             if x != 0:
                 return False, (t, HomologyClass1(_unit(M.h1_rank, k)))

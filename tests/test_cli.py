@@ -694,3 +694,17 @@ def test_freeness_json_carries_the_reason(tmp_path):
         assert payload["free"] is (reason is not None)
         assert payload.get("reason") == reason
         assert ("witness" in payload) is (reason is None)
+
+
+def test_freeness_skips_zero_generators_on_a_huge_h1(tmp_path, capsys):
+    # a zero generator pairs to 0 with every class, so no h1_rank-long
+    # covector is built for it
+    doc = {"name": "x", "h1_rank": 10**15, "h2_rank": 0, "pairing": [],
+           "torus_default": [[]], "sphere_gens": [[]]}
+    path = tmp_path / "zero_h2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for module, kind in (("sprime", "torus"), ("s", "torus"), ("l", "torus"), ("w", "sphere")):
+        start = time.process_time()
+        out = _main_out(capsys, "freeness", "--manifold", str(path), "--module", module)
+        assert time.process_time() - start < 1.0, module
+        assert out.splitlines()[-1] == f"free (all {kind} pairings vanish)", module
