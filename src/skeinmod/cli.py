@@ -338,6 +338,10 @@ def cmd_specialize(args) -> list[str]:
     text = args.element
     idx = text.find("[")
     poly_text, carrier = (text[:idx], text[idx:].strip()) if idx >= 0 else (text, "")
+    # the carrier is one bracket group, nested groups allowed, that closes at the end
+    depths = list(itertools.accumulate((ch == "[") - (ch == "]") for ch in carrier))
+    if depths and (depths[-1] or 0 in depths[:-1]):
+        raise ParseError(f"the carrier must be one bracket group at the end of {text!r}")
     poly = LaurentPoly2.parse(poly_text)
     target = args.module
     result = poly.specialize(_SPECIALIZE_BY_TAG[target])

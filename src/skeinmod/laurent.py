@@ -7,6 +7,7 @@ plain Python ints, so there is no overflow anywhere.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -23,160 +24,136 @@ __all__ = [
 ]
 
 
-def _clean(terms):
-    return {e: c for e, c in terms.items() if c != 0}
+def _ring(name, variables):
+    """Make the Laurent polynomial ring over Z in `variables`.
+
+    One class body serves every ring, so each ring gets its own copy of the
+    methods. An exponent key is a plain int for one variable and a tuple of
+    ints for several: `key` makes it from a tuple, `exps` turns it back into
+    one, and `shift` adds two keys.
+    """
+    arity = len(variables)
+    if arity == 1:
+        key, exps, shift = (lambda t: t[0]), (lambda e: (e,)), operator.add
+    else:
+        key = exps = tuple
+
+        def shift(e1, e2):
+            return tuple(map(operator.add, e1, e2))
+
+    class Laurent:
+        __slots__ = ("terms",)
+
+        def __init__(self, terms=None):
+            self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+
+        @classmethod
+        def zero(cls):
+            return cls()
+
+        @classmethod
+        def one(cls):
+            return cls.monomial(*[0] * arity)
+
+        @classmethod
+        def monomial(cls, *args, coeff=None):
+            """monomial(a, coeff=1), or monomial(a, b, coeff=1) in two variables."""
+            if coeff is None and len(args) == arity + 1:
+                *args, coeff = args
+            if len(args) != arity:
+                raise TypeError(f"{name}.monomial() takes {arity} exponent(s) and an "
+                                f"optional coeff, got {len(args)} exponent(s)")
+            return cls({key(args): 1 if coeff is None else coeff})
+
+        def is_zero(self) -> bool:
+            return not self.terms
+
+        def __bool__(self) -> bool:
+            return bool(self.terms)
+
+        def __eq__(self, other) -> bool:
+            if not isinstance(other, Laurent):
+                return NotImplemented
+            return self.terms == other.terms
+
+        __hash__ = None
+
+        def __neg__(self):
+            return Laurent({e: -c for e, c in self.terms.items()})
+
+        def __add__(self, other):
+            if not isinstance(other, Laurent):
+                return NotImplemented
+            out = dict(self.terms)
+            for e, c in other.terms.items():
+                out[e] = out.get(e, 0) + c
+            return Laurent(out)
+
+        def __sub__(self, other):
+            if not isinstance(other, Laurent):
+                return NotImplemented
+            return self + (-other)
+
+        def __mul__(self, other):
+            if isinstance(other, int):
+                return Laurent({e: c * other for e, c in self.terms.items()})
+            if not isinstance(other, Laurent):
+                return NotImplemented
+            out = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = shift(e1, e2)
+                    out[e] = out.get(e, 0) + c1 * c2
+            return Laurent(out)
+
+        __rmul__ = __mul__
+
+        def render(self, sep: str = "*") -> str:
+            if not self.terms:
+                return "0"
+            parts = []
+            for e in sorted(self.terms, reverse=True):
+                coeff = self.terms[e]
+                factors = [var if x == 1 else f"{var}^{x}"
+                           for var, x in zip(variables, exps(e)) if x != 0]
+                mag = abs(coeff)
+                body = sep.join(factors if mag == 1 and factors else [str(mag)] + factors)
+                parts.append((" + " if coeff > 0 else " - ") + body)
+            text = "".join(parts)
+            return text[3:] if text[1] == "+" else "-" + text[3:]
+
+        @classmethod
+        def parse(cls, text: str):
+            out = {}
+            for coeff, powers in _parse_terms(text, variables):
+                e = key(tuple(powers.get(v, 0) for v in variables))
+                out[e] = out.get(e, 0) + coeff
+            return cls(out)
+
+        def __repr__(self) -> str:
+            return f"{name}({self.render()!r})"
+
+    Laurent.__name__ = Laurent.__qualname__ = name
+    Laurent.__doc__ = (f"Laurent polynomial in {', '.join(variables)}; terms maps "
+                       f"{'exponents' if arity == 1 else 'exponent tuples'} to nonzero ints.")
+    return Laurent
 
 
-class LaurentPoly2:
-    """Laurent polynomial in q1, q2; terms maps exponent pairs to nonzero ints."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[int, int], int] = _clean(terms or {})
-
-    @classmethod
-    def zero(cls) -> LaurentPoly2:
-        return cls()
-
-    @classmethod
-    def one(cls) -> LaurentPoly2:
-        return cls.monomial(0, 0)
-
-    @classmethod
-    def monomial(cls, a: int, b: int, coeff: int = 1) -> LaurentPoly2:
-        return cls({(a, b): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __neg__(self) -> LaurentPoly2:
-        return LaurentPoly2({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other: LaurentPoly2) -> LaurentPoly2:
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly2(out)
-
-    def __sub__(self, other: LaurentPoly2) -> LaurentPoly2:
-        return self + (-other)
-
-    def __mul__(self, other) -> LaurentPoly2:
-        if isinstance(other, int):
-            return LaurentPoly2({e: c * other for e, c in self.terms.items()})
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly2(out)
-
-    __rmul__ = __mul__
-
-    def specialize(self, smap: SpecializationMap) -> LaurentPoly1:
-        """Collapse to one variable: each q1^a q2^b goes to q^a', where a'
-        sums the exponents whose targets are q."""
-        out: dict[int, int] = {}
-        for (a, b), c in self.terms.items():
-            e = smap.exponent(a, b)
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly1(out)
-
-    def render(self, sep: str = "*") -> str:
-        return _render(self.terms, ("q1", "q2"), sep)
-
-    @classmethod
-    def parse(cls, text: str) -> LaurentPoly2:
-        out: dict[tuple[int, int], int] = {}
-        for coeff, exps in _parse_terms(text, ("q1", "q2")):
-            e = (exps.get("q1", 0), exps.get("q2", 0))
-            out[e] = out.get(e, 0) + coeff
-        return cls(out)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly2({self.render()!r})"
+LaurentPoly1 = _ring("LaurentPoly1", ("q",))
+LaurentPoly2 = _ring("LaurentPoly2", ("q1", "q2"))
 
 
-class LaurentPoly1:
-    """Laurent polynomial in q; terms maps exponents to nonzero ints."""
+def _specialize(self, smap: SpecializationMap) -> LaurentPoly1:
+    """Collapse to one variable: each q1^a q2^b goes to q^a', where a'
+    sums the exponents whose targets are q."""
+    out: dict[int, int] = {}
+    for (a, b), c in self.terms.items():
+        e = smap.exponent(a, b)
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly1(out)
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms: dict[int, int] = _clean(terms or {})
-
-    @classmethod
-    def zero(cls) -> LaurentPoly1:
-        return cls()
-
-    @classmethod
-    def one(cls) -> LaurentPoly1:
-        return cls.monomial(0)
-
-    @classmethod
-    def monomial(cls, a: int, coeff: int = 1) -> LaurentPoly1:
-        return cls({a: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly1):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __neg__(self) -> LaurentPoly1:
-        return LaurentPoly1({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other: LaurentPoly1) -> LaurentPoly1:
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly1(out)
-
-    def __sub__(self, other: LaurentPoly1) -> LaurentPoly1:
-        return self + (-other)
-
-    def __mul__(self, other) -> LaurentPoly1:
-        if isinstance(other, int):
-            return LaurentPoly1({e: c * other for e, c in self.terms.items()})
-        out: dict[int, int] = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                out[a1 + a2] = out.get(a1 + a2, 0) + c1 * c2
-        return LaurentPoly1(out)
-
-    __rmul__ = __mul__
-
-    def render(self, sep: str = "*") -> str:
-        return _render({(a,): c for a, c in self.terms.items()}, ("q",), sep)
-
-    @classmethod
-    def parse(cls, text: str) -> LaurentPoly1:
-        out: dict[int, int] = {}
-        for coeff, exps in _parse_terms(text, ("q",)):
-            e = exps.get("q", 0)
-            out[e] = out.get(e, 0) + coeff
-        return cls(out)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly1({self.render()!r})"
+LaurentPoly2.specialize = _specialize
 
 
 @dataclass(frozen=True)
@@ -207,32 +184,7 @@ AUGMENTATION = SpecializationMap("1", "1")
 
 
 # ---------------------------------------------------------------------------
-# rendering and parsing
-
-
-def _render(terms, variables, sep):
-    if not terms:
-        return "0"
-    parts = []
-    for exps in sorted(terms, reverse=True):
-        coeff = terms[exps]
-        factors = []
-        for var, e in zip(variables, exps):
-            if e == 0:
-                continue
-            factors.append(var if e == 1 else f"{var}^{e}")
-        mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = sep.join(factors)
-        else:
-            body = sep.join([str(mag)] + factors)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(parts)
+# parsing
 
 
 _TOKEN_RE = re.compile(r"\s*(q1|q2|q|\^|\*|\+|-|\d+)")

@@ -280,6 +280,15 @@ def test_specialize_examples():
     assert json.loads(res.stdout)["result"] == "q^4"
 
 
+def test_specialize_carrier_is_one_trailing_bracket_group():
+    for element in ("q1 [x] + q2 [y]", "q1 [x", "q1 [x] q2"):
+        res = run("specialize", element, "--module", "s")
+        assert (res.returncode, res.stdout) == (2, ""), element
+        assert res.stderr.startswith("error:parse:") and len(res.stderr.splitlines()) == 1
+    res = run("specialize", "q1^2 q2 [x_[1,2]]", "--module", "s")
+    assert (res.returncode, res.stdout, res.stderr) == (0, "q^3 [x_[1,2]]\n", "")
+
+
 def test_table(tmp_path):
     alphas = tmp_path / "alphas.json"
     alphas.write_text(

@@ -142,3 +142,88 @@ def test_specialize_is_a_ring_homomorphism(a, b):
 def test_monomials_are_units(a, b):
     assert P2.monomial(a, b) * P2.monomial(-a, -b) == P2.one()
     assert P1.monomial(a) * P1.monomial(-a) == P1.one()
+
+
+@given(_poly1, _poly1, _poly1)
+def test_ring_axioms_one_var(a, b, c):
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + P1.zero() == a
+    assert a * P1.one() == a
+    assert a - a == P1.zero()
+    assert P1.parse((a * b).render(" ")) == a * b
+
+
+def test_one_var_mul_frozen_examples():
+    a = P1.monomial(2) - P1.one()
+    b = P1.monomial(2) + P1.one()
+    assert (a * b).terms == {4: 1, 0: -1}
+    assert (P1.monomial(-1, 2) * P1.monomial(3, -1)).terms == {2: -2}
+    assert a * P1.zero() == P1.zero()
+
+
+def test_pickle_copy_repr_and_names_of_both_rings():
+    import copy
+    import pickle
+
+    for cls, p, text in (
+        (P1, P1({2: 1, 0: -1}), "LaurentPoly1('q^2 - 1')"),
+        (P2, P2({(2, -1): 3, (0, 0): 1}), "LaurentPoly2('3*q1^2*q2^-1 + 1')"),
+    ):
+        assert cls.__name__ == cls.__qualname__ == text.split("(")[0]
+        assert cls.__module__ == "skeinmod.laurent"
+        assert repr(p) == text
+        for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert type(twin) is cls and twin == p and twin.terms == p.terms
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(TypeError):
+            hash(p)
+
+
+def test_monomial_takes_coeff_by_position_or_keyword():
+    assert P1.monomial(3).terms == {3: 1}
+    assert P1.monomial(3, 5).terms == P1.monomial(3, coeff=5).terms == {3: 5}
+    assert P2.monomial(1, 2).terms == {(1, 2): 1}
+    assert P2.monomial(1, 2, -4).terms == P2.monomial(1, 2, coeff=-4).terms == {(1, 2): -4}
+    for make in (
+        lambda: P1.monomial(),
+        lambda: P1.monomial(1, 2, 3),
+        lambda: P1.monomial(1, 2, coeff=3),
+        lambda: P2.monomial(1),
+        lambda: P2.monomial(1, coeff=3),
+        lambda: P2.monomial(1, 2, 3, 4),
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_the_two_rings_stay_apart():
+    assert hasattr(P2, "specialize") and not hasattr(P1, "specialize")
+    assert not isinstance(P1.one(), P2) and not isinstance(P2.one(), P1)
+    assert list(P1.monomial(4, 2).terms) == [4]
+    assert list(P2.monomial(4, 2).terms) == [(4, 2)]
+    assert P1.one() != P2.one()
+    assert not P1.one() == P2.one()
+
+
+def test_mixed_ring_arithmetic_raises_type_error():
+    for make in (
+        lambda: P1.one() + P2.one(),
+        lambda: P2.one() + P1.one(),
+        lambda: P2.one() - P1.one(),
+        lambda: P1.one() - P2.one(),
+        lambda: P2.one() * P1.one(),
+        lambda: P1.one() * P2.one(),
+        lambda: P2.one() + 1,
+        lambda: 1 + P2.one(),
+        lambda: P2.one() - 1,
+        lambda: P2.one() * 2.5,
+        lambda: 2.5 * P1.one(),
+    ):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            make()
+    assert 3 * P2.one() == P2({(0, 0): 3})
+    assert P1.one() * 3 == P1({0: 3})
