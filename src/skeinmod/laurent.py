@@ -29,8 +29,8 @@ def _ring(name, variables):
 
     One class body serves every ring, so each ring gets its own copy of the
     methods. An exponent key is a plain int for one variable and a tuple of
-    ints for several: `key` makes it from a tuple, `exps` turns it back into
-    one, and `shift` adds two keys.
+    plain ints for several (bools are no ints): `key` makes it from a tuple,
+    `exps` turns it back into one, and `shift` adds two keys.
     """
     arity = len(variables)
     if arity == 1:
@@ -45,7 +45,13 @@ def _ring(name, variables):
         __slots__ = ("terms",)
 
         def __init__(self, terms=None):
-            self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
+            terms = terms or {}
+            for e in terms:
+                t = (e,) if arity == 1 else e
+                if type(t) is not tuple or len(t) != arity or any(type(x) is not int for x in t):
+                    shape = "an int" if arity == 1 else f"a tuple of {arity} ints"
+                    raise TypeError(f"{name} exponent key must be {shape}, got {e!r}")
+            self.terms = {e: c for e, c in terms.items() if c != 0}
 
         @classmethod
         def zero(cls):

@@ -231,6 +231,11 @@ class ManifoldModel:
         # read backwards, so the first list keyed by an id is the one kept
         return dict(reversed(self.torus_exceptions))
 
+    @cached_property
+    def _classes_by_id(self) -> dict:
+        # read backwards, so the first entry with an id is the one kept
+        return {c.id: c for c in reversed(self.classes)}
+
     def sphere_subgroup(self) -> tuple[HomologyClass2, ...]:
         return self.sphere_gens
 
@@ -241,9 +246,9 @@ class ManifoldModel:
         names it. Otherwise an id that is exactly a coordinate label with
         h1_rank entries ("1,-2", not "01" or "+1") names that class.
         """
-        for c in self.classes:
-            if c.id == cid:
-                return c
+        found = self._classes_by_id.get(cid)
+        if found is not None:
+            return found
         if self.h1_rank == 0:
             return ClassLabel(cid, HomologyClass1(()))
         try:

@@ -496,9 +496,6 @@ class SkeinElement:
 
 # -- move traces ---------------------------------------------------------------
 
-# sign-move type -> what its sign s is multiplied by in (w1, w2)
-_SIGN_WEIGHTS = {"twist": (1, 0), "self_cross": (2, 0), "mixed_cross": (0, 2)}
-
 
 def _slide_vectors(M: ManifoldModel, alpha: LinkClass):
     """For each component i, (P h_i, P (H - h_i)) with H the sum of all h_i,
@@ -517,20 +514,28 @@ def _slide_vectors(M: ManifoldModel, alpha: LinkClass):
     ]
 
 
-def _writhe(kind: str, i: int, value, vectors) -> tuple[int, int]:
-    """(dw1, dw2) of a checked move; value is its sign s, or a slide's t.
+def _empty_tally(r: int):
+    """The signs and slid of _tally_writhe before any move of r components."""
+    return {"twist": 0, "self_cross": 0, "mixed_cross": 0}, [[] for _ in range(r)]
+
+
+def _tally_writhe(vectors, signs: dict, slid) -> WrithePair:
+    """The writhe pair of a tally of checked moves: signs maps each sign-move
+    type to the sum of its signs, slid[i - 1] lists the vectors t that
+    component i slid along, and vectors are the _slide_vectors.
 
     A twist adds s to w1, a self crossing 2s to w1, a mixed crossing 2s to
     w2, and a slide of component i along t adds twice its pairing with
-    component i to w1 and twice its pairing with the others to w2.
+    component i to w1 and twice its pairing with the others to w2. Each share
+    is linear, so the slides of i add those of their sum S_i.
     """
-    if kind == "slide":
-        if not vectors:
-            return 0, 0
-        own, rest = vectors[i - 1]
-        return 2 * _dot(value, own), 2 * _dot(value, rest)
-    d1, d2 = _SIGN_WEIGHTS[kind]
-    return d1 * value, d2 * value
+    w1 = signs["twist"] + 2 * signs["self_cross"]
+    w2 = 2 * signs["mixed_cross"]
+    for ts, (own, rest) in zip(slid, vectors):
+        total = [sum(col) for col in zip(*ts)]
+        w1 += 2 * _dot(total, own)
+        w2 += 2 * _dot(total, rest)
+    return WrithePair(w1, w2)
 
 
 def _check_move(mv: Move, pos: int, r: int, h2_rank: int) -> None:
@@ -553,27 +558,28 @@ def _check_move(mv: Move, pos: int, r: int, h2_rank: int) -> None:
         raise ParseError(f"move {pos}: sign must be +1 or -1, got {mv.s}")
 
 
-def _trace_result(M: ManifoldModel, alpha: LinkClass, w1: int, w2: int):
+def _trace_result(M: ManifoldModel, alpha: LinkClass, w: WrithePair):
     """The raw pair and the element q1^w1 q2^w2 [x_alpha], reduced."""
-    return WrithePair(w1, w2), SkeinElement("sprime", M, {alpha: LaurentPoly2.monomial(w1, w2)})
+    return w, SkeinElement("sprime", M, {alpha: LaurentPoly2.monomial(*w)})
 
 
 def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinElement]:
     """Accumulate the writhe pair of a move sequence over [x_alpha].
 
-    Each move adds its _writhe. Returns the raw pair and the element
-    q1^w1 q2^w2 [x_alpha] with exponents reduced modulo the doubled
-    lattice. Every move is checked before a malformed alpha is reported.
+    The checked moves are tallied and the tally's _tally_writhe taken.
+    Returns the raw pair and the element q1^w1 q2^w2 [x_alpha] with exponents
+    reduced modulo the doubled lattice. Every move is checked before a
+    malformed alpha is reported.
     """
     r = tr.alpha.size
-    vectors = _slide_vectors(M, tr.alpha)
-    w1 = w2 = 0
+    signs, slid = _empty_tally(r)
     for pos, mv in enumerate(tr.moves):
         _check_move(mv, pos, r, M.h2_rank)
-        d1, d2 = _writhe(mv.kind, mv.i, mv.t.vec if isinstance(mv, Slide) else mv.s, vectors)
-        w1 += d1
-        w2 += d2
-    return _trace_result(M, tr.alpha, w1, w2)
+        if isinstance(mv, Slide):
+            slid[mv.i - 1].append(mv.t.vec)
+        else:
+            signs[mv.kind] += mv.s
+    return _trace_result(M, tr.alpha, _tally_writhe(_slide_vectors(M, tr.alpha), signs, slid))
 
 
 # -- freeness and consistency ----------------------------------------------------
@@ -630,6 +636,7 @@ def sphere_torus_discrepancies(M: ManifoldModel, alphas) -> list:
 
 # trace-document type -> (move class, its fields in constructor order)
 _MOVES = {cls.kind: (cls, tuple(f.name for f in fields(cls))) for cls in get_args(Move)}
+_INT_TYPE = frozenset({int})  # a slide entry's t holds ints and no bools
 
 
 def _parse_move(entry, pos: int, problems: list) -> Move | None:
@@ -710,41 +717,10 @@ def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
     return MoveTrace(alpha, tuple(moves))
 
 
-# trace-document type -> the key count of a well-formed entry, "type" included
-_ENTRY_SIZE = {kind: len(names) + 1 for kind, (_cls, names) in _MOVES.items()}
-
-
-def _entry_writhe(entry, r: int, h2_rank: int, vectors):
-    """The _writhe of a well-formed move entry that passes _check_move, read
-    straight from the document; None for any other entry."""
-    if type(entry) is not dict:
-        return None
-    kind = entry.get("type")
-    if type(kind) is not str or len(entry) != _ENTRY_SIZE.get(kind):
-        return None
-    i = entry.get("i")
-    if type(i) is not int or not 1 <= i <= r:
-        return None
-    if kind == "slide":
-        value = entry.get("t")
-        if type(value) is not list or len(value) != h2_rank:
-            return None
-        if any(type(x) is not int for x in value):
-            return None
-    else:
-        value = entry.get("s")
-        if type(value) is not int or (value != 1 and value != -1):
-            return None
-        if kind == "mixed_cross":
-            j = entry.get("j")
-            if type(j) is not int or not 1 <= j <= r or j == i:
-                return None
-    return _writhe(kind, i, value, vectors)
-
-
 def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
     """trace_evaluate(M, trace_from_document(doc, M)), with the trace's alpha,
-    in one pass that builds no move object when the document is well formed.
+    in one pass that builds no move object when the document is well formed:
+    each entry is checked and tallied, and the writhe is taken once at the end.
 
     At the first parse problem or faulty entry the document is read again by
     trace_from_document and trace_evaluate, which own every fault's message.
@@ -753,16 +729,36 @@ def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePai
     alpha, raw_moves = _trace_parts(doc, M, problems)
     if not problems:
         r, h2_rank = alpha.size, M.h2_rank
-        vectors = _slide_vectors(M, alpha)
-        w1 = w2 = 0
+        signs, slid = _empty_tally(r)
+        slide = [ts.append for ts in slid]
         for entry in raw_moves:
-            delta = _entry_writhe(entry, r, h2_rank, vectors)
-            if delta is None:
+            # the rules of _parse_move and _check_move, with exact ints
+            if type(entry) is not dict:
                 break
-            w1 += delta[0]
-            w2 += delta[1]
+            kind, i = entry.get("type"), entry.get("i")
+            if type(kind) is not str or type(i) is not int or not 1 <= i <= r:
+                break
+            if kind == "slide":
+                t = entry.get("t")
+                if len(entry) != 3 or type(t) is not list or len(t) != h2_rank:
+                    break
+                if not _INT_TYPE.issuperset(map(type, t)):
+                    break
+                slide[i - 1](t)
+                continue
+            if kind == "mixed_cross":
+                j = entry.get("j")
+                if len(entry) != 4 or type(j) is not int or not 1 <= j <= r or j == i:
+                    break
+            elif len(entry) != 3 or kind not in ("twist", "self_cross"):
+                break
+            s = entry.get("s")
+            if type(s) is not int or (s != 1 and s != -1):
+                break
+            signs[kind] += s
         else:
-            return (alpha, *_trace_result(M, alpha, w1, w2))
+            w = _tally_writhe(_slide_vectors(M, alpha), signs, slid)
+            return (alpha, *_trace_result(M, alpha, w))
     tr = trace_from_document(doc, M)
     return (tr.alpha, *trace_evaluate(M, tr))
 

@@ -227,3 +227,27 @@ def test_mixed_ring_arithmetic_raises_type_error():
             make()
     assert 3 * P2.one() == P2({(0, 0): 3})
     assert P1.one() * 3 == P1({0: 3})
+
+
+def test_exponent_keys_must_have_the_ring_shape():
+    for make in (
+        lambda: P2({1: 1}),
+        lambda: P2({(1,): 1}),
+        lambda: P2({(1, 2, 3): 1}),
+        lambda: P2({(1, True): 1}),
+        lambda: P2({(1.0, 2): 1}),
+        lambda: P2({(0, 0): 1, "q1": 0}),
+        lambda: P2.monomial(1, 2.5),
+        lambda: P1({(1, 2): 1}),
+        lambda: P1({(1,): 1}),
+        lambda: P1({True: 1}),
+        lambda: P1({1.0: 1}),
+        lambda: P1({0: 1, None: 0}),
+        lambda: P1.monomial(False),
+    ):
+        with pytest.raises(TypeError, match="exponent key must be"):
+            make()
+    assert repr(P2({(1, -2): 3, (0, 0): 0})) == "LaurentPoly2('3*q1*q2^-2')"
+    assert repr(P1({-1: 2, 10**40: 1})) == f"LaurentPoly1('q^{10**40} + 2*q^-1')"
+    assert P1.parse("q^-3 + 1").terms == {-3: 1, 0: 1}
+    assert P2.parse("q1 q2^-1").terms == {(1, -1): 1}

@@ -226,6 +226,23 @@ def test_document_with_classes_and_exceptions():
     assert model_from_document(model_to_document(m)) == m
 
 
+def test_class_by_id_keeps_the_first_of_duplicate_ids():
+    # a directly built model is not checked for duplicate ids
+    first, second = _label("a", (1, 0)), _label("a", (0, 1))
+    m = ManifoldModel(
+        "dup", 2, 1, ((1, 0),), classes=(first, _label("0,1", (2, 2)), second)
+    )
+    assert m.class_by_id("a") is first
+    # a table entry wins over the coordinate label its id spells; other ids
+    # that spell a coordinate label still name that class
+    assert m.class_by_id("0,1") == _label("0,1", (2, 2))
+    assert m.class_by_id("1,-2") == _label("1,-2", (1, -2))
+    assert m.class_by_id("b") is None and m.class_by_id("1") is None
+    trivial = ManifoldModel("pt", 0, 0, (), classes=(_label("x", ()),))
+    assert trivial.class_by_id("x") is trivial.classes[0]
+    assert trivial.class_by_id("any") == _label("any", ())
+
+
 def test_document_rejects_unknown_fields():
     doc = {"name": "X", "h1_rank": 0, "h2_rank": 0, "pairing": [], "frobnicate": 1}
     with pytest.raises(ParseError, match="frobnicate"):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import member_by_invariants
+from oracles import literal_pairing, member_by_invariants
 from skeinmod.errors import DimensionError, ParseError
 from skeinmod.laurent import LaurentPoly1, LaurentPoly2
 from skeinmod.manifold import (
@@ -606,3 +606,112 @@ def test_one_pass_walk_equals_parse_then_evaluate(case):
     model, doc = case
     expected = _outcome(lambda: _parse_then_evaluate(doc, model))
     assert _outcome(lambda: evaluate_trace_document(doc, model)) == expected
+
+
+# -- the tally against a literal per-move sum ---------------------------------------
+
+BIG = 10**40
+
+
+def _big_ints(n):
+    return st.lists(st.integers(-BIG, BIG) | st.integers(-3, 3), min_size=n, max_size=n)
+
+
+@st.composite
+def tallied_traces(draw):
+    """(model, document): a well-formed trace of up to about 300 moves on a
+    document model, with class coordinates and slide entries up to 10^40."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    model = model_from_document({
+        "name": "tally",
+        "h1_rank": n,
+        "h2_rank": m,
+        "pairing": draw(st.lists(_ints(n), min_size=m, max_size=m)),
+        "torus_default": draw(st.lists(_ints(m), max_size=2)),
+    })
+    r = draw(st.integers(1, 4))
+    alpha = [{"id": f"c{k}", "h": draw(_big_ints(n))} for k in range(r)]
+    index = st.integers(1, r)
+    sign = st.sampled_from([1, -1])
+    kinds = ["twist", "self_cross", "slide"] + ["mixed_cross"] * (r > 1)
+    moves = []
+    for _ in range(draw(st.integers(0, 300))):
+        kind = draw(st.sampled_from(kinds))
+        entry = {"type": kind, "i": draw(index)}
+        if kind == "slide":
+            entry["t"] = draw(_big_ints(m))
+        else:
+            if kind == "mixed_cross":
+                entry["j"] = draw(index.filter(lambda j, i=entry["i"]: j != i))
+            entry["s"] = draw(sign)
+        moves.append(entry)
+    return model, {"alpha": alpha, "moves": moves}
+
+
+def _literal_writhe(model, alpha, moves):
+    """The writhe pair as a sum of each move's share, with literal pairings."""
+    hs = [c.h.free for c in alpha.components]
+    total = [sum(col) for col in zip(*hs)]
+    w1 = w2 = 0
+    for mv in moves:
+        if mv["type"] == "slide":
+            h = hs[mv["i"] - 1]
+            w1 += 2 * literal_pairing(model.pairing, mv["t"], h)
+            w2 += 2 * literal_pairing(model.pairing, mv["t"], [x - y for x, y in zip(total, h)])
+        elif mv["type"] == "mixed_cross":
+            w2 += 2 * mv["s"]
+        else:
+            w1 += (1 if mv["type"] == "twist" else 2) * mv["s"]
+    return WrithePair(w1, w2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tallied_traces())
+def test_tally_equals_parse_then_evaluate_and_literal_sum(case):
+    model, doc = case
+    walked = evaluate_trace_document(doc, model)
+    assert walked == _parse_then_evaluate(doc, model)
+    alpha, raw, _element = walked
+    assert raw == _literal_writhe(model, alpha, doc["moves"])
+
+
+# one faulty entry for two components and h2_rank 1, for each fault of
+# move_entries and for a field added to a complete entry
+FAULTY_LAST = {
+    "not_int": {"type": "twist", "i": 1.0, "s": 1},
+    "t_not_ints": {"type": "slide", "i": 1, "t": [True]},
+    "s2": {"type": "self_cross", "i": 1, "s": 2},
+    "i0": {"type": "twist", "i": 0, "s": 1},
+    "i_past_r": {"type": "mixed_cross", "i": 3, "j": 1, "s": -1},
+    "j_is_i": {"type": "mixed_cross", "i": 2, "j": 2, "s": 1},
+    "extra_key": {"type": "twist", "i": 1, "q": 1},
+    "missing_key": {"type": "slide", "i": 1},
+    "t_length": {"type": "slide", "i": 2, "t": [1, 2]},
+    "t_not_list": {"type": "slide", "i": 1, "t": "x"},
+    "not_dict": 5,
+    "unknown_type": {"type": "hop", "i": 1, "s": 1},
+    "added_key": {"type": "slide", "i": 1, "t": [1], "s": 1},
+    "added_j": {"type": "twist", "i": 1, "j": 2, "s": 1},
+}
+
+
+def test_a_faulty_last_entry_gets_the_parse_then_evaluate_error():
+    assert FAULTY_LAST.keys() >= set(MOVE_FAULTS)
+    rng = random.Random(12)
+    moves = []
+    for _ in range(10**4):
+        kind = rng.choice(["twist", "self_cross", "mixed_cross", "slide"])
+        i = rng.randint(1, 2)
+        if kind == "slide":
+            moves.append({"type": kind, "i": i, "t": [rng.randint(-50, 50)]})
+        elif kind == "mixed_cross":
+            moves.append({"type": kind, "i": i, "j": 3 - i, "s": rng.choice((1, -1))})
+        else:
+            moves.append({"type": kind, "i": i, "s": rng.choice((1, -1))})
+    assert evaluate_trace_document({"alpha": TWO, "moves": moves}, M)[0].size == 2
+    for fault, entry in FAULTY_LAST.items():
+        doc = {"alpha": TWO, "moves": moves + [entry]}
+        expected = _outcome(lambda: _parse_then_evaluate(doc, M))
+        assert expected[0] in (ParseError, DimensionError), fault
+        assert "moves[10000]" in expected[1] or "move 10000" in expected[1], fault
+        assert _outcome(lambda: evaluate_trace_document(doc, M)) == expected, fault
