@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 
 from .errors import ParseError
+from .value import Value
 
 __all__ = [
     "LaurentPoly1",
@@ -30,7 +30,8 @@ def _ring(name, variables):
     One class body serves every ring, so each ring gets its own copy of the
     methods. An exponent key is a plain int for one variable and a tuple of
     plain ints for several (bools are no ints): `key` makes it from a tuple,
-    `exps` turns it back into one, and `shift` adds two keys.
+    `exps` turns it back into one, and `shift` adds two keys. Coefficients
+    are plain ints too.
     """
     arity = len(variables)
     if arity == 1:
@@ -46,11 +47,13 @@ def _ring(name, variables):
 
         def __init__(self, terms=None):
             terms = terms or {}
-            for e in terms:
+            for e, c in terms.items():
                 t = (e,) if arity == 1 else e
                 if type(t) is not tuple or len(t) != arity or any(type(x) is not int for x in t):
                     shape = "an int" if arity == 1 else f"a tuple of {arity} ints"
                     raise TypeError(f"{name} exponent key must be {shape}, got {e!r}")
+                if type(c) is not int:
+                    raise TypeError(f"{name} coefficient must be an int, got {c!r}")
             self.terms = {e: c for e, c in terms.items() if c != 0}
 
         @classmethod
@@ -162,15 +165,13 @@ def _specialize(self, smap: SpecializationMap) -> LaurentPoly1:
 LaurentPoly2.specialize = _specialize
 
 
-@dataclass(frozen=True)
-class SpecializationMap:
+class SpecializationMap(Value):
     """Ring map out of the two-variable ring, sending each of q1, q2 to q or 1."""
 
-    target_of_q1: str
-    target_of_q2: str
-
-    def __post_init__(self):
-        for t in (self.target_of_q1, self.target_of_q2):
+    def __init__(self, target_of_q1: str, target_of_q2: str):
+        object.__setattr__(self, "target_of_q1", target_of_q1)
+        object.__setattr__(self, "target_of_q2", target_of_q2)
+        for t in (target_of_q1, target_of_q2):
             if t not in ("q", "1"):
                 raise ParseError(f"specialization target must be 'q' or '1', got {t!r}")
 

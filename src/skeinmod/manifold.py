@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
 from .errors import DimensionError, ParseError
+from .value import Value
 
 __all__ = [
     "HomologyClass1",
@@ -30,23 +30,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomologyClass1:
+class HomologyClass1(Value):
     """A first-homology class: coordinates in a fixed basis of H1/torsion.
 
     torsion_tag distinguishes labels with equal free part; it never feeds
     into pairing values (torsion pairs to zero with everything).
     """
 
-    free: tuple[int, ...]
-    torsion_tag: str | None = None
+    def __init__(self, free: tuple[int, ...], torsion_tag: str | None = None):
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "torsion_tag", torsion_tag)
 
 
-@dataclass(frozen=True)
-class HomologyClass2:
+class HomologyClass2(Value):
     """A second-homology class: coordinates in a fixed basis of H2/torsion."""
 
-    vec: tuple[int, ...]
+    def __init__(self, vec: tuple[int, ...]):
+        object.__setattr__(self, "vec", vec)
 
 
 def _id_collation(cid: str):
@@ -59,15 +59,15 @@ def _id_collation(cid: str):
         return (1, (cid,))
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(Value):
     """A named conjugacy-class stand-in with its homology class.
 
     Distinct ids may share the same h (distinct classes with equal homology).
     """
 
-    id: str
-    h: HomologyClass1
+    def __init__(self, id: str, h: HomologyClass1):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "h", h)
 
     def sort_key(self):
         return (_id_collation(self.id), self.h.free, self.h.torsion_tag or "")
@@ -103,22 +103,29 @@ def _cross(u, v):
     )
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
-    name: str
-    h1_rank: int
-    h2_rank: int
-    # h2_rank rows of h1_rank entries each
-    pairing: tuple[tuple[int, ...], ...]
-    torus_default: tuple[HomologyClass2, ...] = ()
-    # (class id, generator list) pairs; order follows the source document
-    torus_exceptions: tuple[tuple[str, tuple[HomologyClass2, ...]], ...] = ()
-    torus_rule: str | None = None
-    sphere_gens: tuple[HomologyClass2, ...] = ()
-    classes: tuple[ClassLabel, ...] = ()
-    boundary_note: str = ""
-
-    def __post_init__(self):
+class ManifoldModel(Value):
+    def __init__(
+        self,
+        name: str,
+        h1_rank: int,
+        h2_rank: int,
+        # h2_rank rows of h1_rank entries each
+        pairing: tuple[tuple[int, ...], ...],
+        torus_default: tuple[HomologyClass2, ...] = (),
+        # (class id, generator list) pairs; order follows the source document
+        torus_exceptions: tuple[tuple[str, tuple[HomologyClass2, ...]], ...] = (),
+        torus_rule: str | None = None,
+        sphere_gens: tuple[HomologyClass2, ...] = (),
+        classes: tuple[ClassLabel, ...] = (),
+        boundary_note: str = "",
+    ):
+        # the cached properties below keep this dict anyway
+        self.__dict__.update(
+            name=name, h1_rank=h1_rank, h2_rank=h2_rank, pairing=pairing,
+            torus_default=torus_default, torus_exceptions=torus_exceptions,
+            torus_rule=torus_rule, sphere_gens=sphere_gens, classes=classes,
+            boundary_note=boundary_note,
+        )
         problems = []
         if self.torus_rule not in (None, "sweep"):
             raise ParseError(f"unknown torus_rule {self.torus_rule!r} (only 'sweep' exists)")

@@ -10,9 +10,8 @@ reduced modulo the relation ideal of their class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from math import gcd
-from typing import ClassVar, NamedTuple, Union, get_args
+from typing import NamedTuple, Union, get_args
 
 from .errors import DimensionError, ParseError
 from .lattice import ExponentLattice
@@ -35,6 +34,7 @@ from .manifold import (
     class_from_entry,
     read_json,
 )
+from .value import Value
 
 __all__ = [
     "MODULE_TAGS",
@@ -77,18 +77,15 @@ def _check_tag(tag: str) -> str:
     return tag
 
 
-@dataclass(frozen=True)
-class LinkClass:
+class LinkClass(Value):
     """An unordered multiset of class labels, stored canonically sorted.
 
     Equal multisets compare equal regardless of construction order. The
     empty multiset is the empty link.
     """
 
-    components: tuple[ClassLabel, ...] = ()
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.components, key=lambda c: c.sort_key()))
+    def __init__(self, components: tuple[ClassLabel, ...] = ()):
+        ordered = tuple(sorted(components, key=lambda c: c.sort_key()))
         object.__setattr__(self, "components", ordered)
 
     @property
@@ -165,42 +162,46 @@ class WrithePair(NamedTuple):
 # -- moves; component indices are 1-based, kind is the trace-document type ---
 
 
-@dataclass(frozen=True)
-class Twist:
-    kind: ClassVar[str] = "twist"
-    i: int
-    s: int
+class Twist(Value):
+    kind = "twist"
+
+    def __init__(self, i: int, s: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class SelfCross:
-    kind: ClassVar[str] = "self_cross"
-    i: int
-    s: int
+class SelfCross(Value):
+    kind = "self_cross"
+
+    def __init__(self, i: int, s: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class MixedCross:
-    kind: ClassVar[str] = "mixed_cross"
-    i: int
-    j: int
-    s: int
+class MixedCross(Value):
+    kind = "mixed_cross"
+
+    def __init__(self, i: int, j: int, s: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class Slide:
-    kind: ClassVar[str] = "slide"
-    i: int
-    t: HomologyClass2
+class Slide(Value):
+    kind = "slide"
+
+    def __init__(self, i: int, t: HomologyClass2):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "t", t)
 
 
 Move = Union[Twist, SelfCross, MixedCross, Slide]
 
 
-@dataclass(frozen=True)
-class MoveTrace:
-    alpha: LinkClass
-    moves: tuple[Move, ...] = ()
+class MoveTrace(Value):
+    def __init__(self, alpha: LinkClass, moves: tuple[Move, ...] = ()):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "moves", moves)
 
 
 # -- indices ------------------------------------------------------------------
@@ -257,15 +258,15 @@ def mu_index(M: ManifoldModel, alpha: LinkClass) -> int:
     return gcd(*(class_pairings(M, c)[2] for c in alpha.components))
 
 
-@dataclass(frozen=True)
-class SummandRelations:
+class SummandRelations(Value):
     """Generators of the relation ideal cutting out one class's cyclic summand.
 
     Empty relations mean the summand is the full free ring.
     """
 
-    module_tag: str
-    relations: tuple
+    def __init__(self, module_tag: str, relations: tuple):
+        object.__setattr__(self, "module_tag", module_tag)
+        object.__setattr__(self, "relations", relations)
 
     @property
     def is_free(self) -> bool:
@@ -635,7 +636,7 @@ def sphere_torus_discrepancies(M: ManifoldModel, alphas) -> list:
 
 
 # trace-document type -> (move class, its fields in constructor order)
-_MOVES = {cls.kind: (cls, tuple(f.name for f in fields(cls))) for cls in get_args(Move)}
+_MOVES = {cls.kind: (cls, cls._fields) for cls in get_args(Move)}
 _INT_TYPE = frozenset({int})  # a slide entry's t holds ints and no bools
 
 

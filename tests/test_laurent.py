@@ -251,3 +251,18 @@ def test_exponent_keys_must_have_the_ring_shape():
     assert repr(P1({-1: 2, 10**40: 1})) == f"LaurentPoly1('q^{10**40} + 2*q^-1')"
     assert P1.parse("q^-3 + 1").terms == {-3: 1, 0: 1}
     assert P2.parse("q1 q2^-1").terms == {(1, -1): 1}
+
+
+def test_coefficients_must_be_exact_ints():
+    for bad in ("x", 1.5, True, 0.0):
+        for make in (
+            lambda: P1({0: bad}),
+            lambda: P2({(0, 0): bad}),
+            lambda: P1.monomial(2, coeff=bad),
+            lambda: P2.monomial(1, -1, coeff=bad),
+        ):
+            with pytest.raises(TypeError, match="coefficient must be an int"):
+                make()
+    assert P1({0: 10**40, 1: -1}).render() == f"-q + {10**40}"
+    assert P2.monomial(1, -1, coeff=-3).render() == "-3*q1*q2^-1"
+    assert P1.one() * True == P1.one()
