@@ -32,6 +32,7 @@ from .manifold import (
     builtin,
     class_to_entry,
     int_digit_limit,
+    integer,
     load_model,
     read_json,
 )
@@ -408,7 +409,7 @@ def _build_parser() -> _Parser:
 
     p = add("decompose", "summand table over all alpha up to a bound")
     p.add_argument("--manifold", required=True)
-    p.add_argument("--bound", required=True, type=int)
+    p.add_argument("--bound", required=True, type=integer)
     p.add_argument("--module", choices=MODULE_TAGS, default="sprime")
     p.set_defaults(func=cmd_decompose)
 

@@ -194,7 +194,7 @@ AUGMENTATION = SpecializationMap("1", "1")
 # parsing
 
 
-_TOKEN_RE = re.compile(r"\s*(q1|q2|q|\^|\*|\+|-|\d+)")
+_TOKEN_RE = re.compile(r"\s*(q1|q2|q|\^|\*|\+|-|[0-9]+)")
 
 
 def _tokenize(text):

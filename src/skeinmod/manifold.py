@@ -186,15 +186,16 @@ class ManifoldModel(Value):
     def covectors(self, gens: tuple[HomologyClass2, ...]) -> tuple[tuple[int, ...], ...]:
         """The covector t^T P of each generator t, so t pairs with h as their
         dot product. Kept for each listed generator list (torus_default, each
-        torus_exceptions list, sphere_gens) from its first use; computed for
-        any other list, such as the sweep rule's."""
-        kept = self._kept_covectors.get(gens)
+        torus_exceptions list, sphere_gens) from its first use and found by its
+        identity; computed for any other list, such as the sweep rule's."""
+        kept = self._kept_covectors.get(id(gens))
         if kept is None:
             kept = tuple(self._covector(t.vec) for t in gens)
-            # the model holds its listed lists, so no other list has their ids
+            # the model holds its listed lists, so no other list has their ids;
+            # the exception lists' ids are read only once such a list comes in
             listed = gens is self.torus_default or gens is self.sphere_gens
             if listed or id(gens) in self._exception_list_ids:
-                self._kept_covectors[gens] = kept
+                self._kept_covectors[id(gens)] = kept
         return kept
 
     @cached_property
@@ -204,6 +205,10 @@ class ManifoldModel(Value):
     @cached_property
     def _kept_covectors(self) -> dict:
         return {}
+
+    @cached_property
+    def _table_records(self) -> dict:
+        return dict.fromkeys(map(id, self.classes))  # ids of labels the model holds, so unique
 
     # -- torus and sphere subgroups ------------------------------------------
 
@@ -336,15 +341,25 @@ _SCHEMA_FIELDS = (
     "classes",
     "boundary_note",
 )
+_INT_TYPE = frozenset({int})  # exact ints: no bools, no int subclasses
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def integer(text: str) -> int:
+    """int(text), but "1_0" and non-ASCII digits, which int() reads, raise ValueError."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _check_vector(v, problems, path, *args):
-    """v as a tuple of ints, else None and a fault named path.format(*args)."""
-    if not isinstance(v, list) or not all(_is_int(x) for x in v):
+    """v as a tuple of ints, else None and a fault named path.format(*args). As
+    in a parsed JSON document, v must be a list of ints: subclasses of either fail."""
+    if type(v) is not list or not _INT_TYPE.issuperset(map(type, v)):
         problems.append(f"{path.format(*args)} must be an array of integers")
         return None
     return tuple(v)

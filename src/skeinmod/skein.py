@@ -27,11 +27,13 @@ from .manifold import (
     HomologyClass1,
     HomologyClass2,
     ManifoldModel,
+    _INT_TYPE,
     _check_vector,
     _dot,
     _is_int,
     _unit,
     class_from_entry,
+    integer,
     read_json,
 )
 from .value import Value
@@ -85,7 +87,7 @@ class LinkClass(Value):
     """
 
     def __init__(self, components: tuple[ClassLabel, ...] = ()):
-        ordered = tuple(sorted(components, key=lambda c: c.sort_key()))
+        ordered = tuple(sorted(components, key=ClassLabel.sort_key))
         object.__setattr__(self, "components", ordered)
 
     @property
@@ -136,7 +138,7 @@ class LinkClass(Value):
                 labels.append(found)
                 continue
             try:
-                coords = tuple(int(x) for x in part.split(","))
+                coords = tuple(map(integer, part.split(",")))
             except ValueError:
                 raise ParseError(f"bad alpha component {item!r}: expected integers or id:<name>")
             if len(coords) != M.h1_rank:
@@ -219,12 +221,19 @@ def class_pairings(M: ManifoldModel, c: ClassLabel):
     """One class's pairing record (covectors, values, mu): the covectors t^T P of
     its torus generators, their pairings t.h with its class, and the gcd of its
     sphere pairings (0 if all vanish). It depends on the class alone, so a
-    caller indexing many link classes over the same classes computes it once."""
+    caller indexing many link classes over the same classes computes it once;
+    the model keeps a class-table entry's record, for that label object alone."""
+    kept = M._table_records.get(id(c), ())  # None: an entry not yet paired
+    if kept:
+        return kept
     _check_class(c, M.h1_rank)
     h = c.h.free
     covectors = M.covectors(M.torus_subgroup(c))
     mu = gcd(*(_dot(s, h) for s in M.covectors(M.sphere_subgroup())))
-    return covectors, tuple(_dot(t, h) for t in covectors), mu
+    record = covectors, tuple(_dot(t, h) for t in covectors), mu
+    if kept is None:
+        M._table_records[id(c)] = record
+    return record
 
 
 def gamma_prime(
@@ -637,7 +646,6 @@ def sphere_torus_discrepancies(M: ManifoldModel, alphas) -> list:
 
 # trace-document type -> (move class, its fields in constructor order)
 _MOVES = {cls.kind: (cls, cls._fields) for cls in get_args(Move)}
-_INT_TYPE = frozenset({int})  # a slide entry's t holds ints and no bools
 
 
 def _parse_move(entry, pos: int, problems: list) -> Move | None:

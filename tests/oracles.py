@@ -73,7 +73,7 @@ def literal_pairing(P, t, h) -> int:
     return sum(t[i] * P[i][j] * h[j] for i in range(len(t)) for j in range(len(h)))
 
 
-def _torus_vectors(M, cid, h):
+def torus_vectors(M, cid, h):
     # the exception list keyed by the class id, else the sweep wedges h ^ e_k
     # in the (e2^e3, e3^e1, e1^e2) basis, else the default list
     for key, gens in M.torus_exceptions:
@@ -99,7 +99,7 @@ def literal_gamma_mu(M, comps):
     gens = []
     for i, (cid, h) in enumerate(comps):
         rest = [sum(o[k] for j, (_, o) in enumerate(comps) if j != i) for k in range(len(h))]
-        for t in _torus_vectors(M, cid, h):
+        for t in torus_vectors(M, cid, h):
             gens.append((literal_pairing(P, t, h), literal_pairing(P, t, rest)))
     mu = 0
     for _, h in comps:

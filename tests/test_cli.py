@@ -650,6 +650,61 @@ def test_dimension_errors_exit_3(tmp_path):
     assert res.stderr.startswith("error:dimension:")
 
 
+def test_command_line_integers_are_ascii_digits(capsys):
+    # int() and re's \d also read "_" separators and non-ASCII digits such
+    # as the Arabic-Indic one, U+0661
+    for argv in (
+        ("index", "--manifold", "S2xS1", "--alpha", "[1_0]"),
+        ("index", "--manifold", "S2xS1", "--alpha", "[\u0661]"),
+        ("index", "--manifold", "T3", "--alpha", "[1,\u0660,0]"),
+        ("specialize", "q1^\u0662 q2", "--module", "s"),
+        ("specialize", "\u0663 q1 [x]", "--module", "l"),
+        ("decompose", "--manifold", "S2xS1", "--bound", "1_0"),
+        ("decompose", "--manifold", "S2xS1", "--bound", "\u0661"),
+    ):
+        assert cli.main(list(argv)) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert re.match(r"error:(parse|usage):", err), argv
+    # the ASCII forms int() reads stay accepted: a sign, spaces, leading zeros
+    one = _main_out(capsys, "index", "--manifold", "S2xS1", "--alpha", "[1]")
+    rows = _main_out(capsys, "decompose", "--manifold", "S2xS1", "--bound", "1")
+    for text in ("+1", " 1", "01"):
+        assert _main_out(capsys, "index", "--manifold", "S2xS1", "--alpha", f"[{text}]") == one
+        assert _main_out(capsys, "decompose", "--manifold", "S2xS1", "--bound", text) == rows
+    assert _main_out(capsys, "specialize", "q1^02 q2", "--module", "s") == "q^3\n"
+
+
+def test_table_rows_reusing_a_table_id_print_what_index_prints(tmp_path, capsys):
+    # the record of the class-table entry "beta" is kept on the model; inline
+    # refs that reuse its id, with another h or a torsion tag, get their own
+    base = json.loads(FIXTURE_MANIFOLD.read_text(encoding="utf-8"))
+    refs = [
+        {"id": "beta"}, {"id": "beta", "h": [3, -1]}, {"id": "beta"},
+        {"id": "beta", "h": [1, 0], "torsion_tag": "z"}, {"id": "beta", "h": [1, 0]},
+        {"id": "beta"},
+    ]
+    rows = [[ref] for ref in refs] + [[{"id": "gamma"}, ref] for ref in refs]
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text(json.dumps(rows), encoding="utf-8")
+    table = _main_out(capsys, "table", "--manifold", str(FIXTURE_MANIFOLD),
+                      "--alphas", str(alphas)).splitlines()
+    assert len(table) == 1 + len(rows)
+    for row, line in zip(rows, table[1:]):
+        # index reads each ref as the entry of a class table that holds it
+        doc = dict(base, classes=[
+            next((ref for ref in row if ref["id"] == entry["id"] and "h" in ref), entry)
+            for entry in base["classes"]
+        ])
+        manifold = tmp_path / "row_manifold.json"
+        manifold.write_text(json.dumps(doc), encoding="utf-8")
+        spec = "[" + ", ".join(f"id:{ref['id']}" for ref in row) + "]"
+        index = _main_out(capsys, "index", "--manifold", str(manifold), "--alpha", spec)
+        _, alpha, indices, sprime, *_ = index.splitlines()
+        sprime = sprime.removeprefix("S': ")
+        assert line == f"alpha={alpha.removeprefix('alpha: ')} {indices} S'={sprime}", row
+
+
 def test_usage_errors_exit_2():
     for args in (
         ("bogusverb",),

@@ -330,6 +330,25 @@ def test_generator_list_faults_keep_their_order():
         assert str(exc.value) == message
 
 
+def test_vectors_are_plain_lists_of_plain_ints():
+    # a document's vectors are what json.load gives: a subclass of list or of
+    # int is refused like a bool, with the same message
+    class Row(list):
+        pass
+
+    class Flag(int):
+        pass
+
+    base = {"name": "X", "h1_rank": 1, "h2_rank": 1, "pairing": [[1]]}
+    assert model_from_document({**base, "torus_default": [[1]]}).torus_default == (
+        HomologyClass2((1,)),
+    )
+    for bad in (Row([1]), [Flag(1)], [True], (1,)):
+        with pytest.raises(ParseError) as exc:
+            model_from_document({**base, "torus_default": [bad]})
+        assert str(exc.value) == "torus_default[0] must be an array of integers"
+
+
 def test_class_entry_single_fault_messages():
     # the class table and class refs read entries through one reader; each
     # lone fault keeps its exact message under either prefix

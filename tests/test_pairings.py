@@ -1,5 +1,7 @@
 """Indices built from cached pairing records, checked against the literal sums."""
 
+import sys
+import threading
 import time
 import tracemalloc
 from math import gcd
@@ -15,6 +17,7 @@ from oracles import (
     literal_pairing,
     member_by_invariants,
     sweep_wedges,
+    torus_vectors,
 )
 from skeinmod import cli
 from skeinmod.errors import DimensionError
@@ -350,6 +353,103 @@ def test_the_first_exception_list_keyed_by_an_id_counts():
                       torus_exceptions=(("1", first), ("1", second)))
     assert M.torus_subgroup(ClassLabel.coordinate((1,))) is first
     assert class_pairings(M, ClassLabel.coordinate((1,)))[:2] == (((2,),), (2,))
+
+
+def _literal_record(M, c):
+    """class_pairings(M, c) written out: the covector of each torus generator
+    of c, its pairing with c and the gcd of c's sphere pairings."""
+    basis = [_unit(M.h1_rank, k) for k in range(M.h1_rank)]
+    torus = torus_vectors(M, c.id, c.h.free)
+    return (
+        tuple(tuple(literal_pairing(M.pairing, t, e) for e in basis) for t in torus),
+        tuple(literal_pairing(M.pairing, t, c.h.free) for t in torus),
+        gcd(*(literal_pairing(M.pairing, s.vec, c.h.free) for s in M.sphere_gens)),
+    )
+
+
+@settings(max_examples=150)
+@given(models(), st.data())
+def test_kept_class_records_equal_the_literal_sums(M, data):
+    # a class-table entry's record is kept from its first use and served to
+    # that label alone: inline labels that reuse its id get their own, even
+    # one equal to the entry
+    for entry in M.classes:
+        h = tuple(data.draw(_vector(M.h1_rank)))
+        inline = (
+            ClassLabel(entry.id, HomologyClass1(h)),
+            ClassLabel(entry.id, HomologyClass1(entry.h.free, "u")),
+            ClassLabel(entry.id, HomologyClass1(entry.h.free, entry.h.torsion_tag)),
+        )
+        for c in (inline[0], entry, *inline, entry):
+            assert class_pairings(M, c) == _literal_record(M, c)
+        assert class_pairings(M, entry) is class_pairings(M, entry)
+        assert all(class_pairings(M, c) is not class_pairings(M, c) for c in inline)
+
+
+def test_threads_pairing_one_model_get_the_literal_records():
+    # the kept records and covectors are filled by plain dict inserts of values
+    # computed from the model, so racing threads store and read equal records
+    doc = {
+        "name": "shared", "h1_rank": 2, "h2_rank": 2, "pairing": [[1, 2], [-1, 3]],
+        "torus_default": [[1, 0], [2, 1]], "torus_exceptions": {"c3": [[0, 1]]},
+        "sphere_gens": [[1, 1]], "classes": [{"id": f"c{k}", "h": [k, 1 - k]} for k in range(40)],
+    }
+    for _ in range(5):
+        M = model_from_document(doc)
+        expected = [_literal_record(M, c) for c in M.classes]
+        seen = []
+
+        def pair():
+            seen.append([class_pairings(M, c) for c in M.classes])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pair) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [expected] * 8
+
+
+def test_kept_covector_lists_are_found_by_identity():
+    M = model_from_document({
+        "name": "kept", "h1_rank": 2, "h2_rank": 2, "pairing": [[1, 2], [0, 3]],
+        "torus_default": [[1, 0], [1, 1]], "torus_exceptions": {"a": [[2, -1]]},
+        "sphere_gens": [[0, 1]],
+    })
+    basis = [_unit(2, k) for k in range(2)]
+
+    def literal(gens):
+        return tuple(tuple(literal_pairing(M.pairing, t.vec, e) for e in basis) for t in gens)
+
+    listed = (M.torus_default, M.sphere_gens, M.torus_exceptions[0][1])
+    for gens in listed:
+        assert M.covectors(gens) == literal(gens)
+        assert M.covectors(gens) is M.covectors(gens)
+        # equal in value, but not a list the model holds: computed, not kept
+        equal = tuple(list(gens))
+        assert equal == gens and equal is not gens
+        assert M.covectors(equal) == literal(gens)
+        assert M.covectors(equal) is not M.covectors(equal)
+    with pytest.raises(DimensionError, match=r"^2-class \[1\] has length 1, expected h2_rank = 2"):
+        M.covectors((HomologyClass2((1,)),))
+    # the sweep rule makes a new list per class; lists freed in between may
+    # reuse an id, and none may get another list's covectors
+    T3 = builtin("T3")
+    basis = [_unit(3, k) for k in range(3)]
+    for h in ((1, 0, 0), (0, 2, -1), (3, 1, 4), (1, 0, 0)):
+        gens = T3.torus_subgroup(ClassLabel.coordinate(h))
+        expected = tuple(
+            tuple(literal_pairing(T3.pairing, t, e) for e in basis) for t in sweep_wedges(h)
+        )
+        assert T3.covectors(gens) == expected
+        assert T3.covectors(gens) is not T3.covectors(gens)
+        assert class_pairings(T3, ClassLabel.coordinate(h))[0] == expected
 
 
 def test_is_free_stops_at_the_first_nonzero_pairing():
