@@ -31,10 +31,12 @@ from .manifold import (
     _vec_str,
     builtin,
     class_to_entry,
+    decode_json,
     int_digit_limit,
     integer,
     load_model,
     read_json,
+    read_text,
 )
 from .skein import (
     _SPECIALIZE_BY_TAG,
@@ -43,6 +45,7 @@ from .skein import (
     LinkIndex,
     _check_class,
     _freeness_generators,
+    _trace_checker,
     alpha_from_refs,
     class_pairings,
     evaluate_trace_document,
@@ -280,9 +283,31 @@ def cmd_decompose(args) -> Iterable[str]:
     )
 
 
+def _tallied_trace(text: str, path: str, M: ManifoldModel):
+    """evaluate_trace_document's result for a well-formed trace document's
+    text, with each move tallied as json builds its object; else None. The
+    tally and the decoded document are freed on return, before a faulty
+    trace is decoded again."""
+    check, tallied = _trace_checker(M.h2_rank)
+    try:
+        doc = decode_json(text, path, "trace", check)
+    except ParseError:
+        # calling check adds a frame, so a document nested near the recursion
+        # limit may fail only with it: the caller's decode gives the outcome
+        return None
+    return tallied(doc, M)
+
+
 def cmd_reduce(args) -> list[str]:
     M = resolve_manifold(args.manifold)
-    alpha, raw, element = evaluate_trace_document(read_json(args.trace, "trace"), M)
+    # one read of the file, so --trace /dev/stdin works
+    text = read_text(args.trace, "trace")
+    done = _tallied_trace(text, args.trace, M)
+    if done is None:
+        doc = decode_json(text, args.trace, "trace")
+        del text  # the parsed document is held from here on, not its text
+        done = evaluate_trace_document(doc, M)
+    alpha, raw, element = done
     if args.module != "sprime":
         element = element.specialize(args.module)
     exponents = next(iter(element.terms[alpha].terms))

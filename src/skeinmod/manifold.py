@@ -51,12 +51,14 @@ class HomologyClass2(Value):
 
 def _id_collation(cid: str):
     # ids that read as comma-separated integers sort numerically, the rest
-    # lexicographically after them; keeps [-2,-1] ahead of [-1,-2] etc.
-    parts = cid.split(",")
-    try:
-        return (0, tuple(int(p) for p in parts))
-    except ValueError:
-        return (1, (cid,))
+    # lexicographically after them; keeps [-2,-1] ahead of [-1,-2] etc. The
+    # integers are the ASCII ones integer() reads, so "1_0" and "\u0661" are names
+    if cid.isascii() and "_" not in cid:
+        try:
+            return (0, tuple(map(int, cid.split(","))))
+        except ValueError:
+            pass
+    return (1, (cid,))
 
 
 class ClassLabel(Value):
@@ -549,16 +551,26 @@ def read_json(path: str, what: str):
     for documents even where a caller lifts it (the command line does), and
     strings with a lone surrogate escape such as "\\ud800".
     """
+    return decode_json(read_text(path, what), path, what)
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of the file at path: read_json's read step."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
+
+
+def decode_json(text: str, path: str, what: str, object_hook=None):
+    """read_json's decode step for the text of the file at path. object_hook
+    is json's: each decoded object is replaced by what it returns."""
     try:
         with int_digit_limit(4300):
-            doc = json.loads(text)
+            doc = json.loads(text, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"{what} file {path} is not valid JSON: {exc}") from exc
     # only a \u escape can put a lone surrogate, which is not text, in a string

@@ -10,6 +10,7 @@ reduced modulo the relation ideal of their class.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd
 from typing import NamedTuple, Union, get_args
 
@@ -222,8 +223,10 @@ def class_pairings(M: ManifoldModel, c: ClassLabel):
     its torus generators, their pairings t.h with its class, and the gcd of its
     sphere pairings (0 if all vanish). It depends on the class alone, so a
     caller indexing many link classes over the same classes computes it once;
-    the model keeps a class-table entry's record, for that label object alone."""
-    kept = M._table_records.get(id(c), ())  # None: an entry not yet paired
+    the model keeps a class-table entry's record from its second use on, for
+    that label object alone, so an entry used once costs no kept record."""
+    # None: an entry not yet paired, False: an entry paired once
+    kept = M._table_records.get(id(c), ())
     if kept:
         return kept
     _check_class(c, M.h1_rank)
@@ -232,6 +235,8 @@ def class_pairings(M: ManifoldModel, c: ClassLabel):
     mu = gcd(*(_dot(s, h) for s in M.covectors(M.sphere_subgroup())))
     record = covectors, tuple(_dot(t, h) for t in covectors), mu
     if kept is None:
+        M._table_records[id(c)] = False
+    elif kept is False:
         M._table_records[id(c)] = record
     return record
 
@@ -726,48 +731,89 @@ def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
     return MoveTrace(alpha, tuple(moves))
 
 
+# what a trace checker's check returns in place of a move object it tallied
+_TALLIED = object()
+
+
+def _trace_checker(h2_rank: int):
+    """(check, tallied) for a model of h2_rank. check(entry) adds a well-formed
+    move object to a tally and returns _TALLIED, else the entry unchanged. It
+    never raises, so json can call it as object_hook and no move is held. The
+    tally holds each sign-move type's sign sum, each component index's slide
+    vectors (by reference), the indices seen and the number of moves tallied.
+
+    tallied(doc, M) is evaluate_trace_document's result when doc is a trace
+    document without a parse problem, its moves are the tallied objects (each
+    is _TALLIED or a dict check tallies now, and no other was tallied) and
+    they name components of its alpha. Otherwise it is None.
+    """
+    signs = _empty_tally(0)[0]
+    slid = defaultdict(list)  # component index -> the vectors it slid along
+    seen = set()
+    count = 0
+
+    def check(entry):
+        nonlocal count
+        # the rules of _parse_move and _check_move, with exact ints; tallied
+        # checks the component indices against alpha
+        kind, i = entry.get("type"), entry.get("i")
+        if type(kind) is not str or type(i) is not int:
+            return entry
+        if kind == "slide":
+            t = entry.get("t")
+            if len(entry) != 3 or type(t) is not list or len(t) != h2_rank:
+                return entry
+            if not _INT_TYPE.issuperset(map(type, t)):
+                return entry
+            slid[i].append(t)
+        else:
+            j = i
+            if kind == "mixed_cross":
+                j = entry.get("j")
+                if len(entry) != 4 or type(j) is not int or j == i:
+                    return entry
+            elif len(entry) != 3 or (kind != "twist" and kind != "self_cross"):
+                return entry
+            s = entry.get("s")
+            if type(s) is not int or (s != 1 and s != -1):
+                return entry
+            signs[kind] += s
+            seen.add(j)
+        seen.add(i)
+        count += 1
+        return _TALLIED
+
+    def tallied(doc, M: ManifoldModel):
+        if type(doc) is not dict:
+            return None
+        problems: list[str] = []
+        alpha, moves = _trace_parts(doc, M, problems)
+        if problems:
+            return None
+        for entry in moves:
+            if entry is not _TALLIED and (type(entry) is not dict or check(entry) is not _TALLIED):
+                return None
+        r = alpha.size
+        if count != len(moves) or seen and (min(seen) < 1 or max(seen) > r):
+            return None
+        vectors = [slid.get(k, ()) for k in range(1, r + 1)]
+        w = _tally_writhe(_slide_vectors(M, alpha), signs, vectors)
+        return (alpha, *_trace_result(M, alpha, w))
+
+    return check, tallied
+
+
 def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
     """trace_evaluate(M, trace_from_document(doc, M)), with the trace's alpha,
     in one pass that builds no move object when the document is well formed:
-    each entry is checked and tallied, and the writhe is taken once at the end.
+    a _trace_checker tallies each entry, and the writhe is taken once at the end.
 
     At the first parse problem or faulty entry the document is read again by
     trace_from_document and trace_evaluate, which own every fault's message.
     """
-    problems: list[str] = []
-    alpha, raw_moves = _trace_parts(doc, M, problems)
-    if not problems:
-        r, h2_rank = alpha.size, M.h2_rank
-        signs, slid = _empty_tally(r)
-        slide = [ts.append for ts in slid]
-        for entry in raw_moves:
-            # the rules of _parse_move and _check_move, with exact ints
-            if type(entry) is not dict:
-                break
-            kind, i = entry.get("type"), entry.get("i")
-            if type(kind) is not str or type(i) is not int or not 1 <= i <= r:
-                break
-            if kind == "slide":
-                t = entry.get("t")
-                if len(entry) != 3 or type(t) is not list or len(t) != h2_rank:
-                    break
-                if not _INT_TYPE.issuperset(map(type, t)):
-                    break
-                slide[i - 1](t)
-                continue
-            if kind == "mixed_cross":
-                j = entry.get("j")
-                if len(entry) != 4 or type(j) is not int or not 1 <= j <= r or j == i:
-                    break
-            elif len(entry) != 3 or kind not in ("twist", "self_cross"):
-                break
-            s = entry.get("s")
-            if type(s) is not int or (s != 1 and s != -1):
-                break
-            signs[kind] += s
-        else:
-            w = _tally_writhe(_slide_vectors(M, alpha), signs, slid)
-            return (alpha, *_trace_result(M, alpha, w))
+    done = _trace_checker(M.h2_rank)[1](doc, M)
+    if done is not None:
+        return done
     tr = trace_from_document(doc, M)
     return (tr.alpha, *trace_evaluate(M, tr))
 

@@ -241,6 +241,42 @@ def test_reduce_json(tmp_path):
     assert payload["element"] == "q1^3 [x_[1,2]]"
 
 
+# a trace document for S2xS1 that reduce accepts, and one for each kind of fault
+STDIN_TRACES = {
+    "valid": json.dumps(THREE_MOVE_TRACE).encode(),
+    "not_utf8": b'{"alpha": [], "moves": []}\xff',
+    "not_json": b'{"alpha": [',
+    "lone_surrogate": b'{"alpha": [{"id": "\\ud800"}], "moves": []}',
+    "not_an_object": b'[{"type": "twist", "i": 1, "s": 1}]',
+    "parse_problem": b'{"alpha": [{"id": "1"}], "moves": [{"type": "hop", "i": 1, "s": 1}]}',
+    "index_past_r": b'{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 2, "s": 1}]}',
+    "same_component": b'{"alpha": [{"id": "1"}, {"id": "2"}], '
+                      b'"moves": [{"type": "mixed_cross", "i": 2, "j": 2, "s": 1}]}',
+    "class_length": b'{"alpha": [{"id": "a", "h": [1, 2]}], "moves": []}',
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("name", STDIN_TRACES)
+def test_reduce_reads_stdin_as_it_reads_a_file(tmp_path, name):
+    # the file is opened once, though a faulty trace is decoded twice
+    data = STDIN_TRACES[name]
+    path = tmp_path / "trace.json"
+    path.write_bytes(data)
+    argv = [sys.executable, "-m", "skeinmod", "reduce", "--manifold", "S2xS1", "--trace"]
+    from_file = subprocess.run([*argv, str(path)], capture_output=True, timeout=120)
+    from_stdin = subprocess.run([*argv, "/dev/stdin"], input=data, capture_output=True,
+                                timeout=120)
+    expected_code = {"valid": 0, "index_past_r": 3, "class_length": 3}.get(name, 2)
+    assert from_file.returncode == expected_code, from_file.stderr
+    assert len(from_file.stderr.splitlines()) == (expected_code != 0)
+    assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (
+        from_file.returncode,
+        from_file.stdout,
+        from_file.stderr.replace(str(path).encode(), b"/dev/stdin"),
+    )
+
+
 def test_freeness_reports(tmp_path):
     res = run("freeness", "--manifold", "S2xS1", "--module", "s")
     assert res.returncode == 0

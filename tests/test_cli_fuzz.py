@@ -10,7 +10,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from skeinmod import cli
+from skeinmod import builtin, cli, skein
+from skeinmod.errors import DimensionError, ParseError
+from skeinmod.manifold import read_json
+from skeinmod.skein import trace_evaluate, trace_from_document
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # argv placeholders for the three documents each example writes
@@ -154,3 +157,133 @@ def test_cli_contract_holds_for_any_input(argv, manifold, trace, alphas):
         assert out == b"" and err.startswith("error:"), (argv, err)
     else:
         assert out.endswith(b"\n") and err == ""
+
+
+# -- reduce, which tallies each move object as the decoder builds it -------------
+
+
+class Obj(tuple):
+    """A JSON object as its (key, value) pairs, so that a key may repeat."""
+
+
+def _json_text(value) -> str:
+    if isinstance(value, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    return json.dumps(value)
+
+
+REDUCE_MODELS = {"S2xS1": builtin("S2xS1"), "T3": builtin("T3")}
+REDUCE_IDS = {"S2xS1": ["1", "2", "-1"], "T3": ["1,0,0", "0,1,-1", "2,0,1"]}
+
+
+RARELY = st.sampled_from([False] * 5 + [True])  # True about once in six
+
+
+def _mostly(good, bad):
+    """good about five times in six, else bad."""
+    return RARELY.flatmap(lambda rare: bad if rare else good)
+
+
+@st.composite
+def move_objects(draw, r, h2_rank, planted=st.nothing()):
+    """A move object for r components and h2_rank, mostly well formed; its
+    indices may be 0, negative, past r or bools, its signs 0, 2 or bools, a
+    slide vector may hold a bool or a planted object, and a key may repeat."""
+    index = _mostly(st.integers(1, max(r, 1)), st.sampled_from([0, -1, r + 1, True, False]))
+    sign = _mostly(st.sampled_from([1, -1]), st.sampled_from([0, 2, True]))
+    kind = draw(st.sampled_from(["twist", "self_cross", "mixed_cross", "slide"]))
+    pairs = [("type", kind), ("i", draw(index))]
+    if kind == "mixed_cross":
+        pairs.append(("j", draw(index)))
+    if kind == "slide":
+        entry = _mostly(st.integers(-3, 3), st.just(True) | planted)
+        pairs.append(("t", draw(st.lists(entry, min_size=h2_rank, max_size=h2_rank))))
+    else:
+        pairs.append(("s", draw(sign)))
+    if draw(RARELY):
+        key = draw(st.sampled_from([k for k, _ in pairs]))
+        pairs.append((key, draw(index | sign)))
+    return Obj(pairs)
+
+
+@st.composite
+def planted_traces(draw):
+    """(model name, JSON text) of a trace whose move objects may also sit in an
+    alpha entry, inside a slide's t, under an unknown key or as the whole
+    document, and whose top-level keys may repeat or come in any order."""
+    name = draw(st.sampled_from(sorted(REDUCE_MODELS)))
+    r = draw(st.integers(0, 3))
+    h2_rank = REDUCE_MODELS[name].h2_rank
+    plain = move_objects(r, h2_rank)
+    moves = st.lists(move_objects(r, h2_rank, plain), max_size=6)
+    if draw(RARELY):
+        return name, _json_text(draw(plain))
+    ids = REDUCE_IDS[name]
+    alpha = [Obj([("id", draw(st.sampled_from(ids)))]) for _ in range(r)]
+    if draw(RARELY):
+        alpha.insert(draw(st.integers(0, r)), draw(plain))
+    pairs = [("alpha", alpha), ("moves", draw(moves))]
+    if draw(RARELY):
+        pairs.append((draw(st.sampled_from(["moves", "alpha"])), draw(moves)))
+    if draw(RARELY):
+        pairs.append(("extra", draw(plain)))
+    return name, _json_text(Obj(draw(st.permutations(pairs))))
+
+
+def _parse_then_evaluate_lines(path, M):
+    """What reduce prints for the trace at path, through trace_from_document and
+    trace_evaluate: (exit code, stdout lines, stderr)."""
+    try:
+        tr = trace_from_document(read_json(path, "trace"), M)
+        raw, element = trace_evaluate(M, tr)
+    except ParseError as exc:
+        return 2, [], f"error:parse:{' '.join(str(exc).split())}\n"
+    except DimensionError as exc:
+        return 3, [], f"error:dimension:{' '.join(str(exc).split())}\n"
+    reduced = next(iter(element.terms[tr.alpha].terms))
+    lines = [f"manifold: {M.name}", f"alpha: {tr.alpha.render()}", "module: sprime",
+             f"raw: ({raw.w1},{raw.w2})", f"reduced: ({reduced[0]},{reduced[1]})",
+             f"element: {element.render(' ')}"]
+    return 0, lines, ""
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(case=planted_traces())
+# a move list that a later "moves" key replaces: its moves were tallied, then dropped
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 1, "s": 1}], '
+                        '"moves": []}'))
+# the whole document is a move object
+@example(case=("S2xS1", '{"type": "twist", "i": 1, "s": 1}'))
+# moves before alpha, and an index past r that only alpha shows
+@example(case=("S2xS1", '{"moves": [{"type": "twist", "i": 2, "s": 1}], "alpha": [{"id": "1"}]}'))
+def test_reduce_gives_what_parse_then_evaluate_gives(case):
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "trace.json")
+        Path(path).write_text(text, encoding="utf-8")
+        expected = _parse_then_evaluate_lines(path, REDUCE_MODELS[name])
+        code, out, err = _call(["reduce", "--manifold", name, "--trace", path])
+    assert (code, out.decode().splitlines(), err) == expected, text
+
+
+def test_a_decode_that_fails_only_with_the_checker_falls_back(monkeypatch, tmp_path):
+    # calling the checker from the decoder adds a frame, so a document nested
+    # near the recursion limit can fail with it and not without it
+    def checker(h2_rank):
+        def check(entry):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        return check, skein._trace_checker(h2_rank)[1]
+
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({
+        "alpha": [{"id": "1"}, {"id": "2"}],
+        "moves": [{"type": "twist", "i": 1, "s": 1}, {"type": "slide", "i": 2, "t": [1]}],
+    }), encoding="utf-8")
+    argv = ["reduce", "--manifold", "S2xS1", "--trace", str(path)]
+    expected = _call(argv)
+    assert expected[0] == 0
+    monkeypatch.setattr(cli, "_trace_checker", checker)
+    assert _call(argv) == expected

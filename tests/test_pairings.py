@@ -370,10 +370,13 @@ def _literal_record(M, c):
 @settings(max_examples=150)
 @given(models(), st.data())
 def test_kept_class_records_equal_the_literal_sums(M, data):
-    # a class-table entry's record is kept from its first use and served to
+    # a class-table entry's record is kept from its second use and served to
     # that label alone: inline labels that reuse its id get their own, even
     # one equal to the entry
     for entry in M.classes:
+        first, second = class_pairings(M, entry), class_pairings(M, entry)
+        assert first == second == _literal_record(M, entry)
+        assert first is not second and class_pairings(M, entry) is second
         h = tuple(data.draw(_vector(M.h1_rank)))
         inline = (
             ClassLabel(entry.id, HomologyClass1(h)),

@@ -142,6 +142,16 @@ def test_link_class_sorts_its_components():
     assert LinkClass() == LinkClass(()) and LinkClass().components == ()
 
 
+def test_only_ascii_integer_ids_collate_as_coordinates():
+    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1, but the
+    # command line and class_by_id take both for names, which follow every
+    # coordinate id
+    labels = {"1_0": 10, "2": 2, "١": 1}
+    alpha = LinkClass(tuple(ClassLabel(cid, HomologyClass1((x,))) for cid, x in labels.items()))
+    assert [c.id for c in alpha.components] == ["2", "1_0", "١"]
+    assert alpha.render() == "[2; id:1_0; id:١]"
+
+
 def test_cli_imports_no_dataclasses_chain():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import skeinmod.cli, skeinmod.__main__; "
