@@ -28,6 +28,7 @@ from .manifold import (
     BUILTIN_NAMES,
     ClassLabel,
     ManifoldModel,
+    _dot,
     _vec_str,
     builtin,
     class_to_entry,
@@ -167,6 +168,9 @@ def cmd_index(args) -> list[str]:
 # the single classes a decompose walk keeps the pairing records of; past this
 # many, a single's record is made again at each visit
 _SINGLES_KEPT = 4096
+# the link indices a decompose walk keeps, by the data Gamma' is built from;
+# when this many are kept, the memo is emptied
+_INDICES_KEPT = 256
 
 
 def _fold_pairings(firsts: dict, seconds: dict, pairs):
@@ -190,12 +194,34 @@ def _folded_records(firsts: dict, seconds: dict, mu: int):
     return (firsts, firsts.values(), mu), (seconds, seconds.values(), mu)
 
 
+def _index_key(known, firsts: dict, total, pairs: dict, h, mu: int) -> tuple:
+    """What a prefix's Gamma' and mu with a class h folded in are built from:
+    mu, then a_t, g_t and T = t.H of the row for each covector t, first the
+    prefix's (known holds each t with its a_t, g_t and t.H in firsts' order)
+    and then the class's others. pairs maps the class's covectors to their
+    pairings t.h. Gamma' is spanned by (a_t, T - a_t) and (a_t + g_t,
+    T - a_t - g_t), so rows with equal keys have equal link indices."""
+    key = [mu]
+    for t, a_t, g_t, on_total in known:
+        a = pairs.get(t)
+        if a is None:
+            key += (a_t, g_t, on_total + _dot(t, h))
+        else:
+            key += (a_t, gcd(g_t, a - a_t), on_total + a)
+    for t, a in pairs.items():
+        if t not in firsts:
+            key += (a, 0, _dot(t, total) + a)
+    return tuple(key)
+
+
 def _enumerate_alphas(M: ManifoldModel, bound: int):
     """(components, alpha text, link_index) for all multisets alpha of size <=
     bound over classes with coordinates in [-bound, bound], ordered by size
     then lexicographically. A depth-first walk over nondecreasing single
-    indices carries each prefix's H, folded pairings, mu, components and text,
-    so a row folds one class into its prefix and builds Gamma' once."""
+    indices carries each prefix's H, folded pairings, mu, components and text.
+    A row reads its _index_key off its prefix and its class; only a row whose
+    key the memo lacks folds its class in and builds Gamma'. The memo keeps
+    up to _INDICES_KEPT indices and is emptied when full."""
     yield (), "", link_index(M, None, (), ())
     rank = M.h1_rank
     if rank == 0 or bound == 0:
@@ -216,19 +242,20 @@ def _enumerate_alphas(M: ManifoldModel, bound: int):
             coords[pos] = digit - bound
         label = ClassLabel.coordinate(coords)
         covectors, values, mu = class_pairings(M, label)
-        return label, tuple(zip(covectors, values)), mu
+        return label, dict(zip(covectors, values)), mu
 
     def extend(prefix, k):
         total, firsts, seconds, mu, components, text = prefix
         label, pairs, class_mu = single(k)
         return (
             tuple(map(add, total, label.h.free)),
-            *_fold_pairings(firsts, seconds, pairs),
+            *_fold_pairings(firsts, seconds, pairs.items()),
             gcd(mu, class_mu),
             components + (label,),
             text + sep + label.id if components else label.id,
         )
 
+    indices = {}
     root = ((0,) * rank, {}, {}, 0, (), "")
     for size in range(1, bound + 1):
         # each level: a prefix of size - 1 or fewer classes and the least
@@ -238,10 +265,26 @@ def _enumerate_alphas(M: ManifoldModel, bound: int):
             level = stack[-1]
             prefix, low = level
             if len(stack) == size:
+                total, firsts, seconds, mu, components, text = prefix
+                # each covector t of the prefix with a_t, g_t and t.H of the prefix
+                known = [(t, a, seconds.get(t, a) - a, _dot(t, total)) for t, a in firsts.items()]
                 for k in range(low, count):
-                    total, firsts, seconds, mu, components, text = extend(prefix, k)
-                    records = _folded_records(firsts, seconds, mu)
-                    yield components, text, link_index(M, None, records, total)
+                    label, pairs, class_mu = single(k)
+                    row_mu = gcd(mu, class_mu)
+                    key = _index_key(known, firsts, total, pairs, label.h.free, row_mu)
+                    idx = indices.get(key)
+                    if idx is None:
+                        if len(indices) >= _INDICES_KEPT:
+                            indices.clear()
+                        folded = _fold_pairings(firsts, seconds, pairs.items())
+                        row_total = tuple(map(add, total, label.h.free))
+                        records = _folded_records(*folded, row_mu)
+                        idx = indices[key] = link_index(M, None, records, row_total)
+                    yield (
+                        components + (label,),
+                        text + sep + label.id if components else label.id,
+                        idx,
+                    )
                 stack.pop()
             elif low == count:
                 stack.pop()
@@ -263,11 +306,21 @@ def cmd_decompose(args) -> Iterable[str]:
         )
     module = args.module
     indexed = _enumerate_alphas(M, args.bound)
-    # each index's text is formatted once, and a class entry once while it is
-    # among the last _SINGLES_KEPT used; the caches belong to these functions,
-    # made anew for each run
+    # each index's text is formatted once; the caches belong to these
+    # functions, made anew for each run
     if args.json:
-        entries = lru_cache(maxsize=_SINGLES_KEPT)(lambda c: _indented(class_to_entry(c), 4))
+        # a class entry's text by its id, which fixes a coordinate label's
+        # entry; at most _SINGLES_KEPT are kept, then all are dropped
+        texts = {}
+
+        def entries(c):
+            text = texts.get(c.id)
+            if text is None:
+                if len(texts) >= _SINGLES_KEPT:
+                    texts.clear()
+                text = texts[c.id] = _indented(class_to_entry(c), 4)
+            return text
+
         members = cache(lambda idx: _members_json(
             {"eps_prime": list(idx.eps_prime), **_summand_json(idx.summand(module))}, 3
         ))

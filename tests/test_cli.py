@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinmod import builtin, cli, skein
+from skeinmod import builtin, cli, lattice, skein
 from skeinmod.skein import LinkClass, alpha_from_refs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -397,28 +397,41 @@ def test_class_refs_agree_across_verbs(tmp_path, capsys):
 
 
 def test_gamma_prime_is_built_once_per_link_class(tmp_path, monkeypatch, capsys):
-    calls = []
+    # table and index build Gamma' once per link class, decompose once per
+    # distinct generator set its walk meets (its memo is not filled here).
+    # Each build canonicalizes once
+    calls, canonicalized = [], []
     real = skein.gamma_prime
+    real_canonicalize = lattice.ExponentLattice._canonicalize
 
     def counting(M, alpha, *args, **kwargs):
         calls.append(alpha)
         return real(M, alpha, *args, **kwargs)
 
+    def counting_canonicalize(self):
+        canonicalized.append(self)
+        return real_canonicalize(self)
+
     monkeypatch.setattr(skein, "gamma_prime", counting)
+    monkeypatch.setattr(lattice.ExponentLattice, "_canonicalize", counting_canonicalize)
     refs = [[{"id": "1", "h": [1]}, {"id": "2", "h": [2]}], [{"id": "k", "h": [3]}], []]
     alphas = tmp_path / "alphas.json"
     alphas.write_text(json.dumps(refs), encoding="utf-8")
-    for argv, classes in (
-        (["table", "--manifold", "S2xS1", "--alphas", str(alphas)], len(refs)),
-        (["index", "--manifold", "S2xS1", "--alpha", "[1,2]"], 1),
-        (["decompose", "--manifold", "S2xS1", "--bound", "2"], None),
+    for argv, builds, rows in (
+        (["table", "--manifold", "S2xS1", "--alphas", str(alphas)], len(refs), len(refs)),
+        (["index", "--manifold", "S2xS1", "--alpha", "[1,2]"], 1, 1),
+        # fewer builds than rows: row [0,0] has row [0]'s data, a_t = g_t =
+        # t.H = mu = 0
+        (["decompose", "--manifold", "S2xS1", "--bound", "2"], 20, 21),
     ):
         calls.clear()
+        canonicalized.clear()
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
-        if classes is None:
-            classes = sum(line.startswith("alpha=") for line in out.splitlines())
-        assert len(calls) == classes, argv
+        if argv[0] != "index":
+            assert sum(line.startswith("alpha=") for line in out.splitlines()) == rows, argv
+        assert len(calls) == builds, argv
+        assert len(canonicalized) == builds, argv
 
 
 def test_manifold_document_input(tmp_path):

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -210,6 +211,46 @@ def test_decompose_rows_equal_link_index(capsys):
                 idx = link_index(M, LinkClass.parse(alpha, M))
                 assert eps_prime == "({},{},{})".format(*idx.eps_prime), alpha
                 assert summand == idx.summand(module).render(" "), alpha
+
+
+@st.composite
+def model_and_bound(draw):
+    """A model and a decompose bound: up to 2, or up to 1 at h1_rank 3 (the
+    sweep rule's rank), where bound 2 walks 8001 rows."""
+    M = draw(models())
+    return M, draw(st.integers(0, 2 if M.h1_rank <= 2 else 1))
+
+
+# a zero torus covector and sphere pairing h: every row has the torus data
+# (0, 0, 0), and rows [1] and [2] differ only in mu
+SAME_TORUS_DATA = model_from_document({
+    "name": "mu only", "h1_rank": 1, "h2_rank": 2, "pairing": [[0], [1]],
+    "torus_default": [[1, 0]], "sphere_gens": [[0, 1]],
+})
+# class (0,0) pairs through covector (0,1) and every other class through
+# (1,0): rows [0,0; x,y] and [0,0; x,y'] differ only in t.H of (0,1), which
+# their second classes do not pair through
+OWN_COVECTOR = model_from_document({
+    "name": "own covector", "h1_rank": 2, "h2_rank": 2, "pairing": [[1, 0], [0, 1]],
+    "torus_default": [[1, 0]], "torus_exceptions": {"0,0": [[0, 1]]},
+})
+
+
+@pytest.mark.parametrize("kept", [cli._INDICES_KEPT, 1])
+@settings(max_examples=150)
+@given(model_and_bound())
+@example((SAME_TORUS_DATA, 2))
+@example((OWN_COVECTOR, 2))
+# the sweep rule gives each class its own covectors, so at size 2 a row meets
+# covectors its prefix has and its class lacks, and the other way round
+@example((builtin("T3"), 2))
+def test_decompose_walk_gives_the_literal_index(kept, case):
+    # the walk keeps indices by the data Gamma' is built from; with a memo of
+    # one index it is emptied at each build
+    M, bound = case
+    with mock.patch.object(cli, "_INDICES_KEPT", kept):
+        for components, _, idx in cli._enumerate_alphas(M, bound):
+            assert idx == link_index(M, LinkClass(components)), components
 
 
 def test_eps_is_the_gcd_of_torus_pairings_with_the_total_class(capsys):
