@@ -20,7 +20,7 @@ import sys
 from collections.abc import Iterable
 from functools import cache, lru_cache
 from math import gcd
-from operator import add
+from operator import add, attrgetter
 
 from .errors import DimensionError, ParseError
 from .laurent import LaurentPoly2
@@ -31,12 +31,12 @@ from .manifold import (
     _dot,
     _vec_str,
     builtin,
+    class_from_entry,
     class_to_entry,
     decode_json,
     int_digit_limit,
     integer,
     load_model,
-    read_json,
     read_text,
 )
 from .skein import (
@@ -166,11 +166,29 @@ def cmd_index(args) -> list[str]:
 
 
 # the single classes a decompose walk keeps the pairing records of; past this
-# many, a single's record is made again at each visit
+# many, a single's record is made again at each visit. A _kept memo keeps as
+# many texts
 _SINGLES_KEPT = 4096
 # the link indices a decompose walk keeps, by the data Gamma' is built from;
 # when this many are kept, the memo is emptied
 _INDICES_KEPT = 256
+
+
+def _kept(fn, key=None):
+    """fn with its results kept by key(x), or by x; when _SINGLES_KEPT are
+    kept, all are dropped."""
+    kept = {}
+
+    def get(x):
+        k = x if key is None else key(x)
+        value = kept.get(k)
+        if value is None:
+            if len(kept) >= _SINGLES_KEPT:
+                kept.clear()
+            value = kept[k] = fn(x)
+        return value
+
+    return get
 
 
 def _fold_pairings(firsts: dict, seconds: dict, pairs):
@@ -309,18 +327,8 @@ def cmd_decompose(args) -> Iterable[str]:
     # each index's text is formatted once; the caches belong to these
     # functions, made anew for each run
     if args.json:
-        # a class entry's text by its id, which fixes a coordinate label's
-        # entry; at most _SINGLES_KEPT are kept, then all are dropped
-        texts = {}
-
-        def entries(c):
-            text = texts.get(c.id)
-            if text is None:
-                if len(texts) >= _SINGLES_KEPT:
-                    texts.clear()
-                text = texts[c.id] = _indented(class_to_entry(c), 4)
-            return text
-
+        # a class entry's text by its id, which fixes a coordinate label's entry
+        entries = _kept(lambda c: _indented(class_to_entry(c), 4), attrgetter("id"))
         members = cache(lambda idx: _members_json(
             {"eps_prime": list(idx.eps_prime), **_summand_json(idx.summand(module))}, 3
         ))
@@ -431,34 +439,64 @@ def cmd_specialize(args) -> list[str]:
     return [rendered]
 
 
+def _label_hook(M: ManifoldModel):
+    """json's object_hook for an alphas file over M: a well-formed class ref
+    whose id and torsion_tag are ASCII comes back as its ClassLabel, any other
+    object unchanged. ASCII holds no lone surrogate, so decode_json's walk
+    still reads every string that may hold one."""
+
+    def label(entry):
+        problems = []
+        found = class_from_entry(entry, "", problems, M)
+        if problems or not found.id.isascii() or not (found.h.torsion_tag or "").isascii():
+            return entry
+        return found
+
+    return label
+
+
 def cmd_table(args) -> Iterable[str]:
     M = resolve_manifold(args.manifold)
-    doc = read_json(args.alphas, "alphas")
+    # one read of the file; each ref is resolved as json builds its object
+    text = read_text(args.alphas, "alphas")
+    try:
+        doc = decode_json(text, args.alphas, "alphas", _label_hook(M))
+    except ParseError:
+        # calling the hook adds a frame, so a document nested near the recursion
+        # limit may fail only with it: the plain decode gives the outcome
+        doc = decode_json(text, args.alphas, "alphas")
+    del text
     if not isinstance(doc, list):
         raise ParseError("alphas file must hold a JSON array of class-ref arrays")
-    alphas, problems = [], []
+    # only a row that still holds an object is resolved again, and so named in
+    # the faults; the rows then hold labels alone
+    problems = []
     for row, refs in enumerate(doc):
-        try:
-            alphas.append(alpha_from_refs(refs, M, f"alphas[{row}]: "))
-        except ParseError as exc:
-            problems.append(str(exc))
+        if type(refs) is not list or not all(type(r) is ClassLabel for r in refs):
+            try:
+                doc[row] = list(alpha_from_refs(refs, M, f"alphas[{row}]: ").components)
+            except ParseError as exc:
+                problems.append(str(exc))
     if problems:
         raise ParseError("; ".join(problems))
     # a class of the wrong length is the one fault link_index raises: check
-    # every row before the first byte, then index the rows as they are written
-    for alpha in alphas:
-        for c in alpha.components:
-            _check_class(c, M.h1_rank)
-    indexed = ((alpha, link_index(M, alpha)) for alpha in alphas)
+    # every row before the first byte, in its link class's order, then build
+    # and index each row's link class as it is written
+    rank = M.h1_rank
+    for refs in doc:
+        if any(len(c.h.free) != rank for c in refs):
+            for c in LinkClass(refs).components:
+                _check_class(c, rank)
+    indexed = ((alpha, link_index(M, alpha)) for alpha in (alpha_from_refs(r, M) for r in doc))
     if args.json:
-        entries = cache(lambda c: _indented(class_to_entry(c), 4))
-        members = cache(lambda idx: _members_json({
+        entries = _kept(lambda c: _indented(class_to_entry(c), 4))
+        members = _kept(lambda idx: _members_json({
             **_index_json(idx),
             "sprime_relations": [p.render(" ") for p in idx.summand("sprime").relations],
         }, 3))
         rows = (_row_json(alpha.components, entries, members(idx)) for alpha, idx in indexed)
         return _json_lines({"manifold": M.name}, rows)
-    tail = cache(lambda idx: f"{_index_text(idx)} S'={idx.summand('sprime').render(' ')}")
+    tail = _kept(lambda idx: f"{_index_text(idx)} S'={idx.summand('sprime').render(' ')}")
     return itertools.chain(
         (f"manifold: {M.name}",),
         (f"alpha={alpha.render()} {tail(idx)}" for alpha, idx in indexed),

@@ -52,8 +52,9 @@ class HomologyClass2(Value):
 def _id_collation(cid: str):
     # ids that read as comma-separated integers sort numerically, the rest
     # lexicographically after them; keeps [-2,-1] ahead of [-1,-2] etc. The
-    # integers are the ASCII ones integer() reads, so "1_0" and "\u0661" are names
-    if cid.isascii() and "_" not in cid:
+    # integers are the ASCII ones integer() reads, so "1_0" and "\u0661" are names.
+    # int() reads no id whose first non-space character is no sign or digit
+    if cid.isascii() and "_" not in cid and cid.lstrip()[:1] in "+-0123456789":
         try:
             return (0, tuple(map(int, cid.split(","))))
         except ValueError:

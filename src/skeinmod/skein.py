@@ -102,9 +102,13 @@ class LinkClass(Value):
         parts = []
         vectors_only = True
         for c in self.components:
-            coord = ClassLabel.coordinate_id(c.h.free)
-            if c.id == coord and c.h.torsion_tag is None:
-                parts.append(coord)
+            # a coordinate id is empty or starts with "-" or a digit
+            if (
+                c.id[:1] in "-0123456789"
+                and c.h.torsion_tag is None
+                and c.id == ClassLabel.coordinate_id(c.h.free)
+            ):
+                parts.append(c.id)
             else:
                 parts.append(f"id:{c.id}")
                 vectors_only = False
@@ -693,13 +697,16 @@ def _resolve_refs(M: ManifoldModel, refs, where: str, problems: list, prefix="")
         problems.append(f"{prefix}{where} must be an array of class refs")
         return LinkClass(())
     labels = (
-        class_from_entry(r, f"{prefix}alpha[{pos}]", problems, M) for pos, r in enumerate(refs)
+        r if isinstance(r, ClassLabel)
+        else class_from_entry(r, f"{prefix}alpha[{pos}]", problems, M)
+        for pos, r in enumerate(refs)
     )
     return LinkClass(tuple(label for label in labels if label is not None))
 
 
 def alpha_from_refs(refs, M: ManifoldModel, prefix: str = "") -> LinkClass:
     """Resolve an array of class refs ({id} from the table, or inline {id, h});
+    a ClassLabel in the array is a ref already resolved and is taken as it is.
     prefix leads each fault in the message ("alphas[3]: " for a table row)."""
     problems: list[str] = []
     alpha = _resolve_refs(M, refs, "alpha", problems, prefix)

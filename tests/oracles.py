@@ -12,6 +12,9 @@ which shares any code with the package's Euclidean canonicalization:
 
 Gamma' and mu of a link class are rebuilt here from a model's raw data with
 the literal sums sum_i sum_j t_i P_ij h_j, without the package's covectors.
+
+How a class id collates, and how a link class renders, are kept here as
+they were first written, before their fast paths.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ __all__ = [
     "literal_pairing",
     "literal_gamma_mu",
     "sweep_wedges",
+    "literal_id_collation",
+    "literal_render",
 ]
 
 
@@ -106,3 +111,30 @@ def literal_gamma_mu(M, comps):
         for s in M.sphere_gens:
             mu = gcd(mu, abs(literal_pairing(P, s.vec, h)))
     return gens, mu
+
+
+def literal_id_collation(cid):
+    """(0, integers) for an ASCII id without "_" that int() reads as
+    comma-separated integers, else (1, (cid,))."""
+    if cid.isascii() and "_" not in cid:
+        try:
+            return (0, tuple(map(int, cid.split(","))))
+        except ValueError:
+            pass
+    return (1, (cid,))
+
+
+def literal_render(alpha):
+    """LinkClass.render, comparing every component's id with its coordinate id."""
+    parts = []
+    vectors_only = True
+    for c in alpha.components:
+        coord = ",".join(str(x) for x in c.h.free)
+        if c.id == coord and c.h.torsion_tag is None:
+            parts.append(coord)
+        else:
+            parts.append(f"id:{c.id}")
+            vectors_only = False
+    if parts and vectors_only and all(len(c.h.free) == 1 for c in alpha.components):
+        return "[" + ",".join(parts) + "]"
+    return "[" + "; ".join(parts) + "]"

@@ -94,6 +94,7 @@ def test_readme_python_api_examples_run_as_their_comments_say():
     assert (idx.eps_prime, idx.eps, idx.mu, idx.eps2) == ((2, 1, 3), 3, 1, 1)
     assert idx.summand("s").render() == "R/(q^6 - 1)"
     assert alpha.render() == "[1,2]"
+    assert ns["alpha_from_refs"]([{"id": "2"}, alpha.components[0]], M) == alpha
     assert skeinmod.summand(M, alpha, "sprime").render() == "R'/(q1^4 q2^2 - 1, q1^6 - 1)"
     assert ns["records"][0] == (((1,),), (1,), 1)
     assert skeinmod.link_index(M, alpha, ns["records"]) == idx

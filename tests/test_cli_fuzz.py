@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 
 from skeinmod import builtin, cli, skein
 from skeinmod.errors import DimensionError, ParseError
-from skeinmod.manifold import read_json
-from skeinmod.skein import trace_evaluate, trace_from_document
+from skeinmod.manifold import int_digit_limit, read_json
+from skeinmod.skein import (
+    _check_class,
+    alpha_from_refs,
+    link_index,
+    trace_evaluate,
+    trace_from_document,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 # argv placeholders for the three documents each example writes
@@ -166,11 +172,16 @@ class Obj(tuple):
     """A JSON object as its (key, value) pairs, so that a key may repeat."""
 
 
-def _json_text(value) -> str:
+def _json_text(value, raw=False) -> str:
+    """The JSON text of value; with raw, a string without a lone surrogate
+    keeps its non-ASCII characters unescaped."""
     if isinstance(value, Obj):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value) + "}"
+        members = (f"{_json_text(k, raw)}: {_json_text(v, raw)}" for k, v in value)
+        return "{" + ", ".join(members) + "}"
     if isinstance(value, list):
-        return "[" + ", ".join(map(_json_text, value)) + "]"
+        return "[" + ", ".join(_json_text(v, raw) for v in value) + "]"
+    if raw and isinstance(value, str) and not any("\ud800" <= ch <= "\udfff" for ch in value):
+        return json.dumps(value, ensure_ascii=False)
     return json.dumps(value)
 
 
@@ -286,4 +297,147 @@ def test_a_decode_that_fails_only_with_the_checker_falls_back(monkeypatch, tmp_p
     expected = _call(argv)
     assert expected[0] == 0
     monkeypatch.setattr(cli, "_trace_checker", checker)
+    assert _call(argv) == expected
+
+
+# -- table, which resolves each class ref as the decoder builds it ---------------
+
+# a document model whose class table holds a non-ASCII id and a non-ASCII tag
+NAMED_MODEL = {
+    "name": "named", "h1_rank": 2, "h2_rank": 1, "pairing": [[1, 2]],
+    "torus_default": [[1]], "sphere_gens": [[1]],
+    "classes": [{"id": "c1", "h": [1, 0]}, {"id": "\u00e9", "h": [0, 3]},
+                {"id": "c2", "h": [2, 1], "torsion_tag": "\u00fc"}],
+}
+TABLE_MODELS = {"S2xS1": None, "T3": None, "named": NAMED_MODEL}
+TABLE_RANKS = {"S2xS1": 1, "T3": 3, "named": 2}
+TABLE_IDS = {
+    "S2xS1": ["1", "-2", "0", "-0", "ghost"],
+    "T3": ["1,0,0", "0,1,-1", "1,0", "ghost"],
+    "named": ["c1", "c2", "\u00e9", "1,2", "ghost"],
+}
+# ids and tags that are no ASCII text: a non-ASCII letter and a lone surrogate
+ODD_TEXTS = ["\u00e9", "\udc80"]
+
+
+@st.composite
+def ref_objects(draw, name, planted=st.nothing()):
+    """A class ref for model name, mostly well formed: its id may be unknown,
+    no string or no ASCII, h may have the wrong length or hold a bool or a
+    planted object, a torsion_tag or an unknown key may come, and a key may
+    repeat."""
+    rank = TABLE_RANKS[name]
+    values = {
+        "id": _mostly(st.sampled_from(TABLE_IDS[name]), st.sampled_from([*ODD_TEXTS, 3])),
+        "h": _mostly(st.just(rank), st.integers(0, rank + 1)).flatmap(
+            lambda n: st.lists(_mostly(st.integers(-3, 3), st.just(True) | planted),
+                               min_size=n, max_size=n)
+        ),
+        "torsion_tag": st.sampled_from(["t", *ODD_TEXTS, 3]),
+        "x": planted | st.just(1),
+    }
+    pairs = [("id", draw(values["id"]))]
+    if draw(st.booleans()):
+        pairs.append(("h", draw(values["h"])))
+    for key in ("torsion_tag", "x"):
+        if draw(RARELY):
+            pairs.append((key, draw(values[key])))
+    if draw(RARELY):
+        key = draw(st.sampled_from([k for k, _ in pairs]))
+        pairs.append((key, draw(values[key])))
+    return Obj(pairs)
+
+
+@st.composite
+def planted_tables(draw):
+    """(model name, JSON text) of an alphas file whose class refs may also sit
+    inside a ref's h, under an unknown key, as a row or as the whole document."""
+    name = draw(st.sampled_from(sorted(TABLE_MODELS)))
+    plain = ref_objects(name)
+    raw = draw(st.booleans())
+    if draw(RARELY):
+        return name, _json_text(draw(plain), raw)
+    rows = draw(st.lists(st.lists(ref_objects(name, plain), max_size=3), max_size=4))
+    if draw(RARELY):
+        rows.insert(draw(st.integers(0, len(rows))), draw(plain))
+    return name, _json_text(rows, raw)
+
+
+def _resolve_then_index_lines(spec, path):
+    """What table prints for the alphas file at path, through read_json and
+    each row's alpha_from_refs, _check_class and link_index: (exit code,
+    stdout lines, stderr)."""
+    try:
+        with int_digit_limit(0):  # as cli.main runs a verb
+            M = cli.resolve_manifold(spec)
+            doc = read_json(path, "alphas")
+            if not isinstance(doc, list):
+                raise ParseError("alphas file must hold a JSON array of class-ref arrays")
+            alphas, problems = [], []
+            for row, refs in enumerate(doc):
+                try:
+                    alphas.append(alpha_from_refs(refs, M, f"alphas[{row}]: "))
+                except ParseError as exc:
+                    problems.append(str(exc))
+            if problems:
+                raise ParseError("; ".join(problems))
+            for alpha in alphas:
+                for c in alpha.components:
+                    _check_class(c, M.h1_rank)
+            lines = [f"manifold: {M.name}"]
+            for alpha in alphas:
+                idx = link_index(M, alpha)
+                e = idx.eps_prime
+                lines.append(
+                    f"alpha={alpha.render()} eps'=({e.e1},{e.e2},{e.e3}) eps={idx.eps} "
+                    f"mu={idx.mu} eps2={idx.eps2} S'={idx.summand('sprime').render(' ')}"
+                )
+    except ParseError as exc:
+        return 2, [], f"error:parse:{' '.join(str(exc).split())}\n"
+    except DimensionError as exc:
+        return 3, [], f"error:dimension:{' '.join(str(exc).split())}\n"
+    return 0, lines, ""
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(case=planted_tables())
+# a resolved ref beside a faulty one in the same row: no extra fault for the first
+@example(case=("S2xS1", '[[{"id": "1"}, {"id": "ghost"}]]'))
+# a lone surrogate in an inline ref's torsion_tag: the surrogate error, no row
+@example(case=("S2xS1", '[[{"id": "a", "h": [1], "torsion_tag": "\\udc80"}]]'))
+# a ref as a row, inside h and under an unknown key
+@example(case=("T3", '[{"id": "1,0,0"}, [{"id": "a", "h": [{"id": "1,0,0"}, 1, 2]}], '
+                     '[{"id": "b", "h": [1, 2, 3], "x": {"id": "0,1,-1"}}]]'))
+# rows of wrong-length classes: the first in its link class's order is named
+@example(case=("named", '[[{"id": "c1"}], [{"id": "z", "h": [1]}, {"id": "a", "h": [1, 2, 3]}]]'))
+def test_table_gives_what_resolve_then_index_gives(case):
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "alphas.json")
+        Path(path).write_text(text, encoding="utf-8")
+        spec = name
+        if TABLE_MODELS[name] is not None:
+            spec = str(Path(tmp) / "manifold.json")
+            Path(spec).write_text(json.dumps(TABLE_MODELS[name]), encoding="utf-8")
+        expected = _resolve_then_index_lines(spec, path)
+        code, out, err = _call(["table", "--manifold", spec, "--alphas", path])
+    assert (code, out.decode().splitlines(), err) == expected, text
+
+
+def test_a_table_decode_that_fails_only_with_the_hook_falls_back(monkeypatch, tmp_path):
+    # calling the hook from the decoder adds a frame, so a document nested near
+    # the recursion limit can fail with it and not without it
+    def hook(M):
+        def label(entry):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        return label
+
+    path = tmp_path / "alphas.json"
+    path.write_text(json.dumps([[{"id": "1"}, {"id": "2"}], [], [{"id": "a", "h": [3]}]]),
+                    encoding="utf-8")
+    argv = ["table", "--manifold", "S2xS1", "--alphas", str(path)]
+    expected = _call(argv)
+    assert expected[0] == 0 and expected[1].count(b"\n") == 4
+    monkeypatch.setattr(cli, "_label_hook", hook)
     assert _call(argv) == expected

@@ -10,11 +10,21 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import skeinmod.__main__ as entry
+from oracles import literal_id_collation, literal_render
 from skeinmod import cli
 from skeinmod.laurent import SpecializationMap
-from skeinmod.manifold import ClassLabel, HomologyClass1, HomologyClass2, ManifoldModel, builtin
+from skeinmod.manifold import (
+    ClassLabel,
+    HomologyClass1,
+    HomologyClass2,
+    ManifoldModel,
+    _id_collation,
+    builtin,
+)
 from skeinmod.skein import (
     LinkClass,
     MixedCross,
@@ -150,6 +160,44 @@ def test_only_ascii_integer_ids_collate_as_coordinates():
     alpha = LinkClass(tuple(ClassLabel(cid, HomologyClass1((x,))) for cid, x in labels.items()))
     assert [c.id for c in alpha.components] == ["2", "1_0", "١"]
     assert alpha.render() == "[2; id:1_0; id:١]"
+
+
+# ASCII ids around the integers: leading spaces int() strips ("\t", " ") and
+# ones it does not ("\x1c"), signs, "_" and commas, plus a non-ASCII digit
+id_texts = st.text(alphabet="\t\x1c +-_,0123456789ac\u0661", max_size=8) | st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", " ", "\t", "\x1c", "+", "-", "_", "a", ","]),
+    st.lists(st.integers(-20, 20).map(str), min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", " ", "_", ",", "a"]),
+)
+
+
+@given(id_texts)
+@example("\x1c1")
+@example("+1")
+@example("\t-1, +2")
+@example("1,,2")
+@example("")
+def test_id_collation_is_the_literal_definition(cid):
+    assert _id_collation(cid) == literal_id_collation(cid)
+
+
+coordinates = st.lists(st.integers(-12, 12), max_size=3).map(tuple)
+labels = st.builds(ClassLabel.coordinate, coordinates) | st.builds(
+    ClassLabel,
+    id_texts,
+    st.builds(HomologyClass1, coordinates, st.none() | st.sampled_from(["t", ""])),
+)
+
+
+@given(st.lists(labels, max_size=4))
+@example([ClassLabel("", HomologyClass1(()))])
+@example([ClassLabel.coordinate((-1, 10)), ClassLabel("c1", HomologyClass1((1, 2)))])
+@example([ClassLabel.coordinate((3,)), ClassLabel.coordinate((-2,))])
+@example([ClassLabel("1", HomologyClass1((1,), "t"))])
+def test_render_is_the_literal_definition(components):
+    alpha = LinkClass(tuple(components))
+    assert alpha.render() == literal_render(alpha)
 
 
 def test_cli_imports_no_dataclasses_chain():
