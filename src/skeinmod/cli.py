@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import io
 import itertools
 import json
 import os
@@ -37,10 +38,12 @@ from .manifold import (
     int_digit_limit,
     integer,
     load_model,
+    opened,
     read_text,
 )
 from .skein import (
     _SPECIALIZE_BY_TAG,
+    _TALLIED,
     MODULE_TAGS,
     LinkClass,
     LinkIndex,
@@ -344,26 +347,158 @@ def cmd_decompose(args) -> Iterable[str]:
     )
 
 
-def _tallied_trace(text: str, path: str, M: ManifoldModel):
-    """evaluate_trace_document's result for a well-formed trace document's
-    text, with each move tallied as json builds its object; else None. The
-    tally and the decoded document are freed on return, before a faulty
-    trace is decoded again."""
-    check, tallied = _trace_checker(M.h2_rank)
+# the bytes reduce reads a trace in at a time
+_READ_BLOCK = 1 << 16
+_BLANK = json.decoder.WHITESPACE  # the blanks json skips between tokens
+# a move array's last run ends at the first "}" that blanks and "]" follow
+_LAST_RUN_END = re.compile(r"\}[ \t\n\r]*\]")
+
+
+class _GiveUp(ValueError):
+    """The block reader met text that it leaves to the whole-text decode."""
+
+
+class _Blocks:
+    """The text of a binary file, read on as needed: text[pos:] is read and
+    not yet taken. A list kept gets the bytes of each read."""
+
+    def __init__(self, fh, kept):
+        self.fh, self.kept = fh, kept
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.text, self.pos, self.eof = "", 0, False
+
+    def more(self) -> None:
+        """Read a block, or as many bytes as are not yet taken if more, so a
+        value that outruns the blocks is decoded O(log) times over."""
+        if self.eof:
+            raise _GiveUp
+        raw = self.fh.read(max(_READ_BLOCK, len(self.text) - self.pos))
+        if self.kept is not None:
+            self.kept.append(raw)
+        self.eof = not raw
+        self.text = self.text[self.pos:] + self.decode(raw, self.eof)
+        self.pos = 0
+
+    def peek(self) -> str:
+        """The character after the blanks at pos, which pos moves to; "" at the
+        end of the file."""
+        while True:
+            self.pos = _BLANK.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self.more()
+
+    def expect(self, mark: str) -> None:
+        if self.peek() != mark:
+            raise _GiveUp
+        self.pos += 1
+
+    def value(self):
+        """The JSON value after the blanks at pos, read on until it ends; a
+        \\u escape, which may be a lone surrogate, gives up."""
+        self.peek()
+        decoder = json.JSONDecoder()
+        while True:
+            try:
+                value, end = decoder.raw_decode(self.text, self.pos)
+                break
+            except (ValueError, RecursionError):
+                self.more()
+        if self.text.find("\\u", self.pos, end) >= 0:
+            raise _GiveUp
+        self.pos = end
+        return value
+
+    def run_end(self) -> int:
+        """Where the run of move objects at pos ends: past the first "}" that
+        blanks and "]" follow, else past the last that blanks and "," follow.
+        Such a cut is structural exactly when the run decodes: a "}" in a
+        string leaves the string open, and one in a nested value leaves it
+        unclosed."""
+        while True:
+            last = _LAST_RUN_END.search(self.text, self.pos)
+            if last:
+                return last.start() + 1
+            brace = len(self.text)
+            while (brace := self.text.rfind("}", self.pos, brace)) >= 0:
+                if self.text.startswith(",", _BLANK.match(self.text, brace + 1).end()):
+                    return brace + 1
+            self.more()
+
+    def tally(self, decode, fold) -> int:
+        """How many objects the move array at pos holds, each of which decode
+        must return as _TALLIED; the array is decoded one run at a time, and
+        fold is called after each."""
+        self.expect("[")
+        if self.peek() == "]":
+            self.pos += 1
+            return 0
+        moves, mark = 0, ","
+        while mark == ",":
+            end = self.run_end()
+            run = self.text[self.pos:end]
+            tokens = decode("[" + run + "]")
+            if "\\u" in run or tokens.count(_TALLIED) != len(tokens):
+                raise _GiveUp
+            moves += len(tokens)
+            fold()
+            self.pos = end
+            mark = self.peek()  # "," or "]", as run_end found
+            self.pos += 1
+        return moves
+
+
+def _streamed_trace(fh, kept, M: ManifoldModel):
+    """evaluate_trace_document's result for the trace document in the binary
+    file fh, read in blocks: its keys in any order, alpha decoded whole and
+    moves one run of objects at a time, each tallied as json builds it and
+    each run's slide vectors folded into one sum per component. None when
+    the text is not such a trace of one alpha and at most one moves, or
+    holds what json reads only from the whole text: a fault, a \\u escape,
+    an int past 4300 digits or bytes that are not UTF-8."""
+    check, fold, tallied = _trace_checker(M.h2_rank)
+    decode = json.JSONDecoder(object_hook=check).decode
+    src = _Blocks(fh, kept)
+    doc, keys, moves = {}, [], 0
     try:
-        doc = decode_json(text, path, "trace", check)
-    except ParseError:
-        # calling check adds a frame, so a document nested near the recursion
-        # limit may fail only with it: the caller's decode gives the outcome
+        with int_digit_limit(4300):
+            src.expect("{")
+            mark = ","
+            while mark == ",":
+                key = src.value()
+                if key in keys or key not in ("alpha", "moves"):
+                    raise _GiveUp
+                keys.append(key)
+                src.expect(":")
+                if key == "alpha":
+                    doc["alpha"] = src.value()
+                else:
+                    moves = src.tally(decode, fold)
+                mark = src.peek()
+                src.pos += 1
+            if mark != "}" or src.peek():
+                raise _GiveUp
+    except (ValueError, RecursionError):  # a UnicodeDecodeError is a ValueError
         return None
-    return tallied(doc, M)
+    return tallied(doc, moves, M)
 
 
 def cmd_reduce(args) -> list[str]:
     M = resolve_manifold(args.manifold)
-    # one read of the file, so --trace /dev/stdin works
-    text = read_text(args.trace, "trace")
-    done = _tallied_trace(text, args.trace, M)
+    # one open of the file, so --trace /dev/stdin works. When the block reader
+    # gives up, the whole text is decoded: a file is read again from offset 0,
+    # but a pipe cannot be, so its blocks are kept as they are read
+    with opened(args.trace, "trace") as fh:
+        kept = None if fh.seekable() else []
+        done = _streamed_trace(fh, kept, M)
+        if done is None:
+            if kept is None:
+                fh.seek(0)
+            else:
+                kept.append(fh.read())
+                fh = io.BytesIO(b"".join(kept))
+                del kept
+            text = read_text(args.trace, "trace", fh)
     if done is None:
         doc = decode_json(text, args.trace, "trace")
         del text  # the parsed document is held from here on, not its text

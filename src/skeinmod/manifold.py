@@ -8,6 +8,7 @@ sphere subgroup generators. Everything downstream consumes only this data.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -555,13 +556,27 @@ def read_json(path: str, what: str):
     return decode_json(read_text(path, what), path, what)
 
 
-def read_text(path: str, what: str) -> str:
-    """The text of the file at path: read_json's read step."""
+@contextmanager
+def opened(path: str, what: str):
+    """The file at path, open for binary reads; an OSError in the block is
+    read_json's one ParseError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            yield fh
     except OSError as exc:
         raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_text(path: str, what: str, fh=None) -> str:
+    """The text of the file at path: read_json's read step. fh, a binary file
+    object on path, is read to its end from where it stands, in place of a
+    new open of path."""
+    if fh is None:
+        with opened(path, what) as fh:
+            return read_text(path, what, fh)
+    try:
+        # as open(path, encoding="utf-8") reads it, newlines translated
+        return io.TextIOWrapper(fh, encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
 

@@ -743,16 +743,18 @@ _TALLIED = object()
 
 
 def _trace_checker(h2_rank: int):
-    """(check, tallied) for a model of h2_rank. check(entry) adds a well-formed
-    move object to a tally and returns _TALLIED, else the entry unchanged. It
-    never raises, so json can call it as object_hook and no move is held. The
-    tally holds each sign-move type's sign sum, each component index's slide
-    vectors (by reference), the indices seen and the number of moves tallied.
+    """(check, fold, tallied) for a model of h2_rank. check(entry) adds a
+    well-formed move object to a tally and returns _TALLIED, else the entry
+    unchanged. It never raises, so json can call it as object_hook and no move
+    is held. The tally holds each sign-move type's sign sum, each component
+    index's slide vectors (by reference), the indices seen and the number of
+    moves tallied. fold() sums each index's slide vectors into one, so the
+    tally of a trace read in runs holds one vector per index.
 
-    tallied(doc, M) is evaluate_trace_document's result when doc is a trace
-    document without a parse problem, its moves are the tallied objects (each
-    is _TALLIED or a dict check tallies now, and no other was tallied) and
-    they name components of its alpha. Otherwise it is None.
+    tallied(doc, moves, M) is evaluate_trace_document's result when the
+    tallied moves are the moves objects of trace document doc; None when doc
+    has a parse problem, or the tally holds other than moves moves or an
+    index that names no component of doc's alpha.
     """
     signs = _empty_tally(0)[0]
     slid = defaultdict(list)  # component index -> the vectors it slid along
@@ -790,37 +792,41 @@ def _trace_checker(h2_rank: int):
         count += 1
         return _TALLIED
 
-    def tallied(doc, M: ManifoldModel):
-        if type(doc) is not dict:
-            return None
+    def fold():
+        # _tally_writhe is linear in each component's slide vectors
+        for i, ts in slid.items():
+            if len(ts) > 1:
+                slid[i] = [[sum(col) for col in zip(*ts)]]
+
+    def tallied(doc, moves: int, M: ManifoldModel):
         problems: list[str] = []
-        alpha, moves = _trace_parts(doc, M, problems)
-        if problems:
-            return None
-        for entry in moves:
-            if entry is not _TALLIED and (type(entry) is not dict or check(entry) is not _TALLIED):
-                return None
+        alpha, _ = _trace_parts(doc, M, problems)
         r = alpha.size
-        if count != len(moves) or seen and (min(seen) < 1 or max(seen) > r):
+        if problems or count != moves or seen and (min(seen) < 1 or max(seen) > r):
             return None
         vectors = [slid.get(k, ()) for k in range(1, r + 1)]
         w = _tally_writhe(_slide_vectors(M, alpha), signs, vectors)
         return (alpha, *_trace_result(M, alpha, w))
 
-    return check, tallied
+    return check, fold, tallied
 
 
 def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
     """trace_evaluate(M, trace_from_document(doc, M)), with the trace's alpha,
     in one pass that builds no move object when the document is well formed:
-    a _trace_checker tallies each entry, and the writhe is taken once at the end.
+    a _trace_checker tallies each move entry, and the writhe is taken once at
+    the end. The command line tallies the same way as it reads the trace's
+    text in blocks, and calls this only on a trace it gave up on.
 
     At the first parse problem or faulty entry the document is read again by
     trace_from_document and trace_evaluate, which own every fault's message.
     """
-    done = _trace_checker(M.h2_rank)[1](doc, M)
-    if done is not None:
-        return done
+    check, _, tallied = _trace_checker(M.h2_rank)
+    moves = doc.get("moves", []) if type(doc) is dict else None
+    if type(moves) is list and all(type(e) is dict and check(e) is _TALLIED for e in moves):
+        done = tallied(doc, len(moves), M)
+        if done is not None:
+            return done
     tr = trace_from_document(doc, M)
     return (tr.alpha, *trace_evaluate(M, tr))
 

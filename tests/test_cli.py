@@ -254,12 +254,24 @@ STDIN_TRACES = {
                       b'"moves": [{"type": "mixed_cross", "i": 2, "j": 2, "s": 1}]}',
     "class_length": b'{"alpha": [{"id": "a", "h": [1, 2]}], "moves": []}',
 }
+# traces longer than one read block (64 KiB), two of them faulty only past the first
+STDIN_TRACES["long_valid"] = json.dumps({**THREE_MOVE_TRACE,
+                                         "moves": THREE_MOVE_TRACE["moves"] * 1000}).encode()
+STDIN_TRACES["long_index_past_r"] = json.dumps({
+    "alpha": [{"id": "1"}],
+    "moves": [{"type": "twist", "i": 1, "s": 1}, {"type": "slide", "i": 1, "t": [1]}] * 1500
+    + [{"type": "twist", "i": 2, "s": 1}],
+}).encode()
+STDIN_TRACES["long_not_utf8"] = (
+    STDIN_TRACES["long_valid"][:-20] + b"\xff" + STDIN_TRACES["long_valid"][-20:]
+)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 @pytest.mark.parametrize("name", STDIN_TRACES)
 def test_reduce_reads_stdin_as_it_reads_a_file(tmp_path, name):
-    # the file is opened once, though a faulty trace is decoded twice
+    # the file is opened once: the whole text of a trace the block reader
+    # gives up on is read again from a file, and from the kept blocks of a pipe
     data = STDIN_TRACES[name]
     path = tmp_path / "trace.json"
     path.write_bytes(data)
@@ -267,7 +279,8 @@ def test_reduce_reads_stdin_as_it_reads_a_file(tmp_path, name):
     from_file = subprocess.run([*argv, str(path)], capture_output=True, timeout=120)
     from_stdin = subprocess.run([*argv, "/dev/stdin"], input=data, capture_output=True,
                                 timeout=120)
-    expected_code = {"valid": 0, "index_past_r": 3, "class_length": 3}.get(name, 2)
+    expected_code = {"valid": 0, "index_past_r": 3, "class_length": 3, "long_valid": 0,
+                     "long_index_past_r": 3}.get(name, 2)
     assert from_file.returncode == expected_code, from_file.stderr
     assert len(from_file.stderr.splitlines()) == (expected_code != 0)
     assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (

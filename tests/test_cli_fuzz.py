@@ -4,9 +4,11 @@ or 3, write at most one stderr line, and write nothing to stdout on error."""
 import io
 import json
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -172,14 +174,18 @@ class Obj(tuple):
     """A JSON object as its (key, value) pairs, so that a key may repeat."""
 
 
-def _json_text(value, raw=False) -> str:
+def _json_text(value, raw=False, gap=" ") -> str:
     """The JSON text of value; with raw, a string without a lone surrogate
-    keeps its non-ASCII characters unescaped."""
+    keeps its non-ASCII characters unescaped. gap follows each "," and ":",
+    and gap without its spaces also comes before them and inside brackets."""
+    pad = gap.replace(" ", "")
     if isinstance(value, Obj):
-        members = (f"{_json_text(k, raw)}: {_json_text(v, raw)}" for k, v in value)
-        return "{" + ", ".join(members) + "}"
+        members = (f"{_json_text(k, raw, gap)}{pad}:{gap}{_json_text(v, raw, gap)}"
+                   for k, v in value)
+        return "{" + pad + f"{pad},{gap}".join(members) + pad + "}"
     if isinstance(value, list):
-        return "[" + ", ".join(_json_text(v, raw) for v in value) + "]"
+        items = (_json_text(v, raw, gap) for v in value)
+        return "[" + pad + f"{pad},{gap}".join(items) + pad + "]"
     if raw and isinstance(value, str) and not any("\ud800" <= ch <= "\udfff" for ch in value):
         return json.dumps(value, ensure_ascii=False)
     return json.dumps(value)
@@ -223,7 +229,8 @@ def move_objects(draw, r, h2_rank, planted=st.nothing()):
 def planted_traces(draw):
     """(model name, JSON text) of a trace whose move objects may also sit in an
     alpha entry, inside a slide's t, under an unknown key or as the whole
-    document, and whose top-level keys may repeat or come in any order."""
+    document, and whose top-level keys may repeat or come in any order; its
+    blanks may be none, spaces, newlines or tabs."""
     name = draw(st.sampled_from(sorted(REDUCE_MODELS)))
     r = draw(st.integers(0, 3))
     h2_rank = REDUCE_MODELS[name].h2_rank
@@ -240,7 +247,8 @@ def planted_traces(draw):
         pairs.append((draw(st.sampled_from(["moves", "alpha"])), draw(moves)))
     if draw(RARELY):
         pairs.append(("extra", draw(plain)))
-    return name, _json_text(Obj(draw(st.permutations(pairs))))
+    gap = draw(st.sampled_from([" ", "", "\n", "\t", " \r\n\t"]))
+    return name, _json_text(Obj(draw(st.permutations(pairs))), gap=gap)
 
 
 def _parse_then_evaluate_lines(path, M):
@@ -269,9 +277,29 @@ def _parse_then_evaluate_lines(path, M):
 @example(case=("S2xS1", '{"type": "twist", "i": 1, "s": 1}'))
 # moves before alpha, and an index past r that only alpha shows
 @example(case=("S2xS1", '{"moves": [{"type": "twist", "i": 2, "s": 1}], "alpha": [{"id": "1"}]}'))
-def test_reduce_gives_what_parse_then_evaluate_gives(case):
+# moves before alpha, where a run's cut must not reach into alpha
+@example(case=("S2xS1", '{"moves": [{"type": "twist", "i": 1, "s": 1}, {"type": "slide", '
+                        '"i": 2, "t": [2]}], "alpha": [{"id": "1"}, {"id": "2"}]}'))
+# a "}" then "," inside a string, which is no cut
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 1, "s": 1}, '
+                        '{"type": "x},{", "i": 1, "s": 1}]}'))
+# a UTF-8 byte order mark, and data after the closing brace
+@example(case=("S2xS1", '\ufeff{"alpha": [{"id": "1"}], "moves": []}'))
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": []} {}'))
+# a slide entry of 4301 digits, past the decoder's int/str limit
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "slide", "i": 1, '
+                        '"t": [1%s]}]}' % ("0" * 4300)))
+# an escaped key, and a non-ASCII key
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"\\u0074ype": "twist", "i": 1, '
+                        '"s": 1}]}'))
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [], "\u00e9": 1}'))
+# a lone surrogate escape in an inline class's id, which alpha resolves
+@example(case=("S2xS1", '{"alpha": [{"id": "\\ud800", "h": [1]}], "moves": []}'))
+@pytest.mark.parametrize("block", [1, 7, 64, cli._READ_BLOCK])
+def test_reduce_gives_what_parse_then_evaluate_gives(block, case):
     name, text = case
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_READ_BLOCK", block)
         path = str(Path(tmp) / "trace.json")
         Path(path).write_text(text, encoding="utf-8")
         expected = _parse_then_evaluate_lines(path, REDUCE_MODELS[name])
@@ -286,7 +314,7 @@ def test_a_decode_that_fails_only_with_the_checker_falls_back(monkeypatch, tmp_p
         def check(entry):
             raise RecursionError("maximum recursion depth exceeded")
 
-        return check, skein._trace_checker(h2_rank)[1]
+        return (check, *skein._trace_checker(h2_rank)[1:])
 
     path = tmp_path / "trace.json"
     path.write_text(json.dumps({
@@ -298,6 +326,56 @@ def test_a_decode_that_fails_only_with_the_checker_falls_back(monkeypatch, tmp_p
     assert expected[0] == 0
     monkeypatch.setattr(cli, "_trace_checker", checker)
     assert _call(argv) == expected
+
+
+def _long_trace(n):
+    """A well-formed S2xS1 trace of n moves on two components, all four kinds."""
+    kinds = [{"type": "twist", "i": 1, "s": 1}, {"type": "slide", "i": 2, "t": [3]},
+             {"type": "mixed_cross", "i": 2, "j": 1, "s": -1}, {"type": "slide", "i": 1, "t": [-1]},
+             {"type": "self_cross", "i": 2, "s": -1}]
+    return {"alpha": [{"id": "1"}, {"id": "2"}], "moves": [kinds[k % 5] for k in range(n)]}
+
+
+@pytest.mark.parametrize("first", ["alpha", "moves"])
+def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, first):
+    # neither the whole-text read nor its decode runs on a well-formed trace
+    # of unique keys, in either order; a reader that always gave up on the
+    # blocks would pass every equality test
+    calls = []
+    for name in ("read_text", "decode_json"):
+        def spy(*args, real=getattr(cli, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, spy)
+    doc = _long_trace(10**4)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({first: doc[first], **doc}), encoding="utf-8")
+    expected = _parse_then_evaluate_lines(str(path), REDUCE_MODELS["S2xS1"])
+    code, out, err = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])
+    assert (code, out.decode().splitlines(), err) == expected and expected[0] == 0
+    assert calls == []
+    # the spies see the whole text of a trace the reader gives up on
+    path.write_text(json.dumps({**doc, "extra": 1}), encoding="utf-8")
+    assert _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])[0] == 2
+    assert calls == ["read_text", "decode_json"]
+
+
+def test_reduce_memory_does_not_follow_the_trace_length(tmp_path):
+    # the reader holds one block, alpha and one slide sum per component, so
+    # ten times the moves may not raise the traced peak by a megabyte
+    peaks = []
+    for n in (10**4, 10**5):
+        path = tmp_path / f"trace{n}.json"
+        path.write_text(json.dumps(_long_trace(n)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])[0]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 # -- table, which resolves each class ref as the decoder builds it ---------------
