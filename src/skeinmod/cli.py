@@ -30,6 +30,7 @@ from .manifold import (
     ClassLabel,
     ManifoldModel,
     _dot,
+    _has_lone_surrogate,
     _vec_str,
     builtin,
     class_from_entry,
@@ -52,9 +53,10 @@ from .skein import (
     _trace_checker,
     alpha_from_refs,
     class_pairings,
-    evaluate_trace_document,
     is_free,
     link_index,
+    trace_evaluate,
+    trace_from_document,
 )
 
 _TAG_LABEL = {"sprime": "S'", "s": "S", "l": "L", "w": "W"}
@@ -360,10 +362,10 @@ class _GiveUp(ValueError):
 
 class _Blocks:
     """The text of a binary file, read on as needed: text[pos:] is read and
-    not yet taken. A list kept gets the bytes of each read."""
+    not yet taken."""
 
-    def __init__(self, fh, kept):
-        self.fh, self.kept = fh, kept
+    def __init__(self, fh):
+        self.fh = fh
         self.decode = codecs.getincrementaldecoder("utf-8")().decode
         self.text, self.pos, self.eof = "", 0, False
 
@@ -373,8 +375,6 @@ class _Blocks:
         if self.eof:
             raise _GiveUp
         raw = self.fh.read(max(_READ_BLOCK, len(self.text) - self.pos))
-        if self.kept is not None:
-            self.kept.append(raw)
         self.eof = not raw
         self.text = self.text[self.pos:] + self.decode(raw, self.eof)
         self.pos = 0
@@ -394,8 +394,8 @@ class _Blocks:
         self.pos += 1
 
     def value(self):
-        """The JSON value after the blanks at pos, read on until it ends; a
-        \\u escape, which may be a lone surrogate, gives up."""
+        """The JSON value after the blanks at pos, read on until it ends; one
+        that holds a lone surrogate, which only a \\u escape gives, gives up."""
         self.peek()
         decoder = json.JSONDecoder()
         while True:
@@ -404,7 +404,7 @@ class _Blocks:
                 break
             except (ValueError, RecursionError):
                 self.more()
-        if self.text.find("\\u", self.pos, end) >= 0:
+        if _has_lone_surrogate(value):
             raise _GiveUp
         self.pos = end
         return value
@@ -428,7 +428,8 @@ class _Blocks:
     def tally(self, decode, fold) -> int:
         """How many objects the move array at pos holds, each of which decode
         must return as _TALLIED; the array is decoded one run at a time, and
-        fold is called after each."""
+        fold is called after each. A tallied move holds only its type's keys,
+        a type name and ints, so no lone surrogate."""
         self.expect("[")
         if self.peek() == "]":
             self.pos += 1
@@ -438,7 +439,7 @@ class _Blocks:
             end = self.run_end()
             run = self.text[self.pos:end]
             tokens = decode("[" + run + "]")
-            if "\\u" in run or tokens.count(_TALLIED) != len(tokens):
+            if tokens.count(_TALLIED) != len(tokens):
                 raise _GiveUp
             moves += len(tokens)
             fold()
@@ -448,17 +449,18 @@ class _Blocks:
         return moves
 
 
-def _streamed_trace(fh, kept, M: ManifoldModel):
-    """evaluate_trace_document's result for the trace document in the binary
-    file fh, read in blocks: its keys in any order, alpha decoded whole and
-    moves one run of objects at a time, each tallied as json builds it and
-    each run's slide vectors folded into one sum per component. None when
-    the text is not such a trace of one alpha and at most one moves, or
-    holds what json reads only from the whole text: a fault, a \\u escape,
-    an int past 4300 digits or bytes that are not UTF-8."""
+def _streamed_trace(fh, M: ManifoldModel):
+    """(alpha, raw, element) of the trace document in the binary file fh, as
+    trace_from_document and trace_evaluate give them, read in blocks: its keys
+    in any order, alpha decoded whole and moves one run of objects at a time,
+    each tallied as json builds it and each run's slide vectors folded into
+    one sum per component. None when the text is not such a trace of one
+    alpha and at most one moves, or holds what json reads only from the whole
+    text: a fault, a lone surrogate, an int past 4300 digits or bytes that
+    are not UTF-8."""
     check, fold, tallied = _trace_checker(M.h2_rank)
     decode = json.JSONDecoder(object_hook=check).decode
-    src = _Blocks(fh, kept)
+    src = _Blocks(fh)
     doc, keys, moves = {}, [], 0
     try:
         with int_digit_limit(4300):
@@ -485,24 +487,21 @@ def _streamed_trace(fh, kept, M: ManifoldModel):
 
 def cmd_reduce(args) -> list[str]:
     M = resolve_manifold(args.manifold)
-    # one open of the file, so --trace /dev/stdin works. When the block reader
-    # gives up, the whole text is decoded: a file is read again from offset 0,
-    # but a pipe cannot be, so its blocks are kept as they are read
+    # one open of the file, so --trace /dev/stdin works. A trace the block
+    # reader gives up on is read again from offset 0 and parsed whole; a pipe
+    # cannot be read again, so it is read into memory first
     with opened(args.trace, "trace") as fh:
-        kept = None if fh.seekable() else []
-        done = _streamed_trace(fh, kept, M)
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        done = _streamed_trace(fh, M)
         if done is None:
-            if kept is None:
-                fh.seek(0)
-            else:
-                kept.append(fh.read())
-                fh = io.BytesIO(b"".join(kept))
-                del kept
+            fh.seek(0)
             text = read_text(args.trace, "trace", fh)
     if done is None:
         doc = decode_json(text, args.trace, "trace")
         del text  # the parsed document is held from here on, not its text
-        done = evaluate_trace_document(doc, M)
+        tr = trace_from_document(doc, M)
+        done = (tr.alpha, *trace_evaluate(M, tr))
     alpha, raw, element = done
     if args.module != "sprime":
         element = element.specialize(args.module)

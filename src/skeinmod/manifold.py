@@ -333,18 +333,6 @@ def _expect_params(name, params, count):
 # ---------------------------------------------------------------------------
 # document round trip
 
-_SCHEMA_FIELDS = (
-    "name",
-    "h1_rank",
-    "h2_rank",
-    "pairing",
-    "torus_default",
-    "torus_exceptions",
-    "torus_rule",
-    "sphere_gens",
-    "classes",
-    "boundary_note",
-)
 _INT_TYPE = frozenset({int})  # exact ints: no bools, no int subclasses
 
 
@@ -428,7 +416,7 @@ def model_from_document(doc) -> ManifoldModel:
     if not isinstance(doc, dict):
         raise ParseError("manifold document must be a JSON object")
     for key in doc:
-        if key not in _SCHEMA_FIELDS:
+        if key not in ManifoldModel._fields:
             parse_msgs.append(f"unknown field {key!r}")
 
     name = doc.get("name")

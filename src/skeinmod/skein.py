@@ -816,7 +816,7 @@ def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePai
     in one pass that builds no move object when the document is well formed:
     a _trace_checker tallies each move entry, and the writhe is taken once at
     the end. The command line tallies the same way as it reads the trace's
-    text in blocks, and calls this only on a trace it gave up on.
+    text in blocks, but does not fall back to this on a trace it gives up on.
 
     At the first parse problem or faulty entry the document is read again by
     trace_from_document and trace_evaluate, which own every fault's message.

@@ -265,13 +265,18 @@ STDIN_TRACES["long_index_past_r"] = json.dumps({
 STDIN_TRACES["long_not_utf8"] = (
     STDIN_TRACES["long_valid"][:-20] + b"\xff" + STDIN_TRACES["long_valid"][-20:]
 )
+# \u escapes in an alpha id (as json.dump writes "caf\u00e9") and in each move type
+STDIN_TRACES["long_escaped"] = json.dumps({
+    "alpha": [{"id": "caf\u00e9", "h": [1]}, {"id": "2"}],
+    "moves": THREE_MOVE_TRACE["moves"] * 1000,
+}).replace('"twist"', '"\\u0074wist"').encode()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 @pytest.mark.parametrize("name", STDIN_TRACES)
 def test_reduce_reads_stdin_as_it_reads_a_file(tmp_path, name):
-    # the file is opened once: the whole text of a trace the block reader
-    # gives up on is read again from a file, and from the kept blocks of a pipe
+    # the file is opened once: a pipe is read into memory, and the whole text
+    # of a trace the block reader gives up on is read again from offset 0
     data = STDIN_TRACES[name]
     path = tmp_path / "trace.json"
     path.write_bytes(data)
@@ -280,7 +285,7 @@ def test_reduce_reads_stdin_as_it_reads_a_file(tmp_path, name):
     from_stdin = subprocess.run([*argv, "/dev/stdin"], input=data, capture_output=True,
                                 timeout=120)
     expected_code = {"valid": 0, "index_past_r": 3, "class_length": 3, "long_valid": 0,
-                     "long_index_past_r": 3}.get(name, 2)
+                     "long_index_past_r": 3, "long_escaped": 0}.get(name, 2)
     assert from_file.returncode == expected_code, from_file.stderr
     assert len(from_file.stderr.splitlines()) == (expected_code != 0)
     assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (

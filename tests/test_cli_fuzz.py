@@ -336,11 +336,14 @@ def _long_trace(n):
     return {"alpha": [{"id": "1"}, {"id": "2"}], "moves": [kinds[k % 5] for k in range(n)]}
 
 
-@pytest.mark.parametrize("first", ["alpha", "moves"])
-def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, first):
+@pytest.mark.parametrize(("first", "escaped"), [
+    ("alpha", False), ("moves", False), ("alpha", True), ("moves", True),
+], ids=["alpha", "moves", "escaped-alpha", "escaped-moves"])
+def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, first, escaped):
     # neither the whole-text read nor its decode runs on a well-formed trace
-    # of unique keys, in either order; a reader that always gave up on the
-    # blocks would pass every equality test
+    # of unique keys, in either order, also when \u escapes spell an alpha id
+    # (as json.dump writes a non-ASCII one) and a move type; a reader that
+    # always gave up on the blocks would pass every equality test
     calls = []
     for name in ("read_text", "decode_json"):
         def spy(*args, real=getattr(cli, name), name=name):
@@ -349,8 +352,14 @@ def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, f
 
         monkeypatch.setattr(cli, name, spy)
     doc = _long_trace(10**4)
+    if escaped:
+        doc["alpha"][0] = {"id": "caf\u00e9", "h": [1]}
+    text = json.dumps({first: doc[first], **doc})
+    if escaped:
+        text = text.replace('"twist"', '"\\u0074wist"')
+        assert "caf\\u00e9" in text
     path = tmp_path / "trace.json"
-    path.write_text(json.dumps({first: doc[first], **doc}), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     expected = _parse_then_evaluate_lines(str(path), REDUCE_MODELS["S2xS1"])
     code, out, err = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])
     assert (code, out.decode().splitlines(), err) == expected and expected[0] == 0

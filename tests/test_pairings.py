@@ -1,9 +1,13 @@
 """Indices built from cached pairing records, checked against the literal sums."""
 
+import io
+import json
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
+from contextlib import redirect_stdout
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -33,10 +37,12 @@ from skeinmod.manifold import (
     class_to_entry,
     load_model,
     model_from_document,
+    model_to_document,
 )
 from skeinmod.skein import (
     MODULE_TAGS,
     LinkClass,
+    alpha_from_refs,
     class_pairings,
     evaluate_trace_document,
     gamma_prime,
@@ -539,20 +545,8 @@ def _product(A, B, columns):
 
 
 @st.composite
-def change_of_basis(draw):
-    """A model, a link class of distinct named classes and a valid trace over
-    it, then the same data in new bases of H1 and H2: h -> U h, t -> V t and
-    P -> V^-T P U^-1, so every pairing t^T P h stays the same."""
-    M = draw(models())
-    n1, n2 = M.h1_rank, M.h2_rank
-    (U, U_inv), (V, V_inv) = draw(unimodular(n1)), draw(unimodular(n2))
-    assert _product(U, U_inv, n1) == [list(_unit(n1, k)) for k in range(n1)]
-    assert _product(V, V_inv, n2) == [list(_unit(n2, k)) for k in range(n2)]
-    ids = draw(st.lists(st.sampled_from(("a", "b", "c", "d")), unique=True))
-    named = [ClassLabel(cid, HomologyClass1(tuple(draw(st.lists(
-        st.integers(-5, 5), min_size=n1, max_size=n1))))) for cid in ids]
-    alpha = LinkClass(tuple(draw(st.lists(st.sampled_from(named), max_size=4))) if named else ())
-    r = alpha.size
+def valid_moves(draw, r, n2):
+    """Up to six well-formed trace moves over r components and h2_rank n2."""
     moves = []
     for _ in range(draw(st.integers(0, 6)) if r else 0):
         kind = draw(st.sampled_from(("twist", "self_cross", "mixed_cross", "slide")))
@@ -566,6 +560,24 @@ def change_of_basis(draw):
             if kind == "mixed_cross":
                 move["j"] = move["i"] % r + 1
         moves.append(move)
+    return moves
+
+
+@st.composite
+def change_of_basis(draw):
+    """A model, a link class of distinct named classes and a valid trace over
+    it, then the same data in new bases of H1 and H2: h -> U h, t -> V t and
+    P -> V^-T P U^-1, so every pairing t^T P h stays the same."""
+    M = draw(models())
+    n1, n2 = M.h1_rank, M.h2_rank
+    (U, U_inv), (V, V_inv) = draw(unimodular(n1)), draw(unimodular(n2))
+    assert _product(U, U_inv, n1) == [list(_unit(n1, k)) for k in range(n1)]
+    assert _product(V, V_inv, n2) == [list(_unit(n2, k)) for k in range(n2)]
+    ids = draw(st.lists(st.sampled_from(("a", "b", "c", "d")), unique=True))
+    named = [ClassLabel(cid, HomologyClass1(tuple(draw(st.lists(
+        st.integers(-5, 5), min_size=n1, max_size=n1))))) for cid in ids]
+    alpha = LinkClass(tuple(draw(st.lists(st.sampled_from(named), max_size=4))) if named else ())
+    moves = draw(valid_moves(alpha.size, n2))
 
     def moved_classes(classes):
         return [ClassLabel(c.id, HomologyClass1(_apply(U, c.h.free), c.h.torsion_tag))
@@ -619,3 +631,45 @@ def test_nothing_depends_on_the_bases_of_h1_and_h2(case):
     assert element2.render() == element.render()
     for tag in ("s", "l", "w"):
         assert element2.specialize(tag).render() == element.specialize(tag).render()
+
+
+# -- orientation reversal --------------------------------------------------------
+
+
+def _reduced_raw(tmp, model_doc, trace):
+    """The raw pair reduce --json prints for trace over the document model."""
+    paths = {}
+    for name, doc in (("model", model_doc), ("trace", trace)):
+        paths[name] = str(Path(tmp) / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["reduce", "--manifold", paths["model"], "--trace", paths["trace"],
+                         "--json"])
+    assert code == 0
+    return json.loads(out.getvalue())["raw"]
+
+
+@settings(max_examples=150)
+@given(models(), st.data())
+def test_the_mirror_image_keeps_indices_and_negates_the_writhe(M, data):
+    # reversing the orientation negates P and keeps every generator list, so
+    # each pairing t^T P h changes sign: Gamma' = span{(a, T - a)} and mu stay,
+    # a generator pairs to 0 exactly where it did, and a trace with every sign
+    # negated and the same slides has raw pair -(w1, w2)
+    doc = model_to_document(M)
+    mirror_doc = {**doc, "pairing": [[-x for x in row] for row in doc["pairing"]]}
+    mirror = model_from_document(mirror_doc)
+    refs = data.draw(st.lists(st.fixed_dictionaries({
+        "id": st.sampled_from(IDS + ("x",)),
+        "h": st.lists(st.integers(-5, 5), min_size=M.h1_rank, max_size=M.h1_rank),
+    }), max_size=4))
+    alpha = alpha_from_refs(refs, M)
+    assert link_index(mirror, alpha) == link_index(M, alpha)
+    for tag in MODULE_TAGS:
+        assert is_free(mirror, tag) == is_free(M, tag)
+    moves = data.draw(valid_moves(alpha.size, M.h2_rank))
+    mirrored = [dict(mv, s=-mv["s"]) if "s" in mv else mv for mv in moves]
+    with tempfile.TemporaryDirectory() as tmp:
+        w1, w2 = _reduced_raw(tmp, doc, {"alpha": refs, "moves": moves})
+        assert _reduced_raw(tmp, mirror_doc, {"alpha": refs, "moves": mirrored}) == [-w1, -w2]
