@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from collections.abc import Iterable
 from functools import cache, lru_cache
 from math import gcd
@@ -44,7 +45,6 @@ from .manifold import (
 )
 from .skein import (
     _SPECIALIZE_BY_TAG,
-    _TALLIED,
     MODULE_TAGS,
     LinkClass,
     LinkIndex,
@@ -354,6 +354,8 @@ _READ_BLOCK = 1 << 16
 _BLANK = json.decoder.WHITESPACE  # the blanks json skips between tokens
 # a move array's last run ends at the first "}" that blanks and "]" follow
 _LAST_RUN_END = re.compile(r"\}[ \t\n\r]*\]")
+# what parts two objects of a run
+_SEPARATOR = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
 class _GiveUp(ValueError):
@@ -425,64 +427,95 @@ class _Blocks:
                     return brace + 1
             self.more()
 
-    def tally(self, decode, fold) -> int:
-        """How many objects the move array at pos holds, each of which decode
-        must return as _TALLIED; the array is decoded one run at a time, and
-        fold is called after each. A tallied move holds only its type's keys,
-        a type name and ints, so no lone surrogate."""
+    def tally(self, check, add, fold) -> None:
+        """Tally the move array at pos with add, one run of objects at a
+        time, each of which check, as json's object_hook, must take for a
+        token; fold is called after each run. A token holds only its type's
+        keys, a type name and ints, so no lone surrogate."""
+        decode = json.JSONDecoder(object_hook=check).decode
         self.expect("[")
         if self.peek() == "]":
             self.pos += 1
-            return 0
-        moves, mark = 0, ","
+            return
+        mark = ","
         while mark == ",":
+            self.peek()  # the run starts past the blanks
             end = self.run_end()
-            run = self.text[self.pos:end]
-            tokens = decode("[" + run + "]")
-            if tokens.count(_TALLIED) != len(tokens):
-                raise _GiveUp
-            moves += len(tokens)
+            for token, k in _run_tokens(self.text[self.pos:end], decode):
+                add(token, k)
             fold()
             self.pos = end
             mark = self.peek()  # "," or "]", as run_end found
             self.pos += 1
-        return moves
+
+
+def _run_tokens(run: str, decode):
+    """(token, count) pairs for run, a run of JSON objects parted by commas
+    that ends in "}": decode's token for each object, a distinct one with the
+    number of objects of its text. _GiveUp when an object is no token.
+
+    The run is split at its separator, the text from its first "}" to the
+    next "{", and its distinct texts are decoded once, joined in braces. If
+    the join holds no brace but those it puts in and decodes to one token per
+    text, no brace of the join sits in a string, so the k-th object is the
+    k-th text in braces; the run, those texts in braces parted by its
+    separator, then decodes to the same objects. Else the run is decoded
+    whole."""
+    first = run.find("}")
+    following = run.find("{", first)
+    # with no "{" past its first "}", the run holds no "},{" to split at
+    separator = run[first:following + 1] if following >= 0 else "},{"
+    if run.startswith("{") and _SEPARATOR.fullmatch(separator):
+        counts = Counter(run[1:-1].split(separator))
+        joined = "[{" + "},{".join(counts) + "}]"
+        if joined.count("{") == len(counts) == joined.count("}"):
+            try:
+                tokens = decode(joined)
+            except (ValueError, RecursionError):
+                tokens = ()
+            if len(tokens) == len(counts) and all(type(t) is tuple for t in tokens):
+                return zip(tokens, counts.values())
+    tokens = decode("[" + run + "]")
+    if not all(type(t) is tuple for t in tokens):
+        raise _GiveUp
+    return zip(tokens, itertools.repeat(1))
 
 
 def _streamed_trace(fh, M: ManifoldModel):
     """(alpha, raw, element) of the trace document in the binary file fh, as
     trace_from_document and trace_evaluate give them, read in blocks: its keys
     in any order, alpha decoded whole and moves one run of objects at a time,
-    each tallied as json builds it and each run's slide vectors folded into
-    one sum per component. None when the text is not such a trace of one
-    alpha and at most one moves, or holds what json reads only from the whole
-    text: a fault, a lone surrogate, an int past 4300 digits or bytes that
-    are not UTF-8."""
-    check, fold, tallied = _trace_checker(M.h2_rank)
-    decode = json.JSONDecoder(object_hook=check).decode
+    each run's distinct move texts tallied once with their counts and its
+    slide vectors folded into one sum per component. A repeated key keeps its
+    last value, as json does. None when the text is not such a trace, or
+    holds what json reads only from the whole text: a fault, also in a value
+    a repeated key drops, a lone surrogate, an int past 4300 digits or bytes
+    that are not UTF-8."""
+    tallied = _trace_checker(M.h2_rank)[3]  # of a trace with no moves
     src = _Blocks(fh)
-    doc, keys, moves = {}, [], 0
+    doc = {}
     try:
         with int_digit_limit(4300):
             src.expect("{")
             mark = ","
             while mark == ",":
                 key = src.value()
-                if key in keys or key not in ("alpha", "moves"):
+                if key not in ("alpha", "moves"):
                     raise _GiveUp
-                keys.append(key)
                 src.expect(":")
                 if key == "alpha":
                     doc["alpha"] = src.value()
                 else:
-                    moves = src.tally(decode, fold)
+                    # a fresh tally, as a later moves drops this one
+                    check, add, fold, tallied = _trace_checker(M.h2_rank)
+                    src.tally(check, add, fold)
                 mark = src.peek()
                 src.pos += 1
             if mark != "}" or src.peek():
                 raise _GiveUp
     except (ValueError, RecursionError):  # a UnicodeDecodeError is a ValueError
         return None
-    return tallied(doc, moves, M)
+    return tallied(doc, M)
 
 
 def cmd_reduce(args) -> list[str]:

@@ -562,11 +562,14 @@ def read_text(path: str, what: str, fh=None) -> str:
     if fh is None:
         with opened(path, what) as fh:
             return read_text(path, what, fh)
+    # as open(path, encoding="utf-8") reads it, newlines translated
+    wrapper = io.TextIOWrapper(fh, encoding="utf-8")
     try:
-        # as open(path, encoding="utf-8") reads it, newlines translated
-        return io.TextIOWrapper(fh, encoding="utf-8").read()
+        return wrapper.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} file {path} is not valid UTF-8: {exc}") from exc
+    finally:
+        wrapper.detach()  # fh stays open for its owner to close
 
 
 def decode_json(text: str, path: str, what: str, object_hook=None):

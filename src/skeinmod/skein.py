@@ -738,33 +738,30 @@ def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
     return MoveTrace(alpha, tuple(moves))
 
 
-# what a trace checker's check returns in place of a move object it tallied
-_TALLIED = object()
-
-
 def _trace_checker(h2_rank: int):
-    """(check, fold, tallied) for a model of h2_rank. check(entry) adds a
-    well-formed move object to a tally and returns _TALLIED, else the entry
-    unchanged. It never raises, so json can call it as object_hook and no move
-    is held. The tally holds each sign-move type's sign sum, each component
-    index's slide vectors (by reference), the indices seen and the number of
-    moves tallied. fold() sums each index's slide vectors into one, so the
-    tally of a trace read in runs holds one vector per index.
+    """(check, add, fold, tallied) for a model of h2_rank. check(entry) is a
+    token for a well-formed move object, else the entry unchanged; a token is
+    a tuple, which json never builds. check never raises and tallies nothing,
+    so json can call it as object_hook and no move is held. add(token, k)
+    tallies the move k times. The tally holds each sign-move type's sign sum,
+    each component index's slide vectors (by reference) and the indices
+    seen. fold() sums each index's slide vectors into one, so the tally of a
+    trace read in runs holds one vector per index.
 
-    tallied(doc, moves, M) is evaluate_trace_document's result when the
-    tallied moves are the moves objects of trace document doc; None when doc
-    has a parse problem, or the tally holds other than moves moves or an
-    index that names no component of doc's alpha.
+    tallied(doc, M) is evaluate_trace_document's result when the tallied
+    moves are the moves objects of trace document doc; None when doc has a
+    parse problem or the tally an index that names no component of doc's
+    alpha.
     """
     signs = _empty_tally(0)[0]
     slid = defaultdict(list)  # component index -> the vectors it slid along
     seen = set()
-    count = 0
 
     def check(entry):
-        nonlocal count
         # the rules of _parse_move and _check_move, with exact ints; tallied
-        # checks the component indices against alpha
+        # checks the component indices against alpha. A token is (type, i,
+        # j, s) of a sign move, j = i but for a mixed crossing, or (type, i,
+        # i, t) of a slide
         kind, i = entry.get("type"), entry.get("i")
         if type(kind) is not str or type(i) is not int:
             return entry
@@ -774,23 +771,27 @@ def _trace_checker(h2_rank: int):
                 return entry
             if not _INT_TYPE.issuperset(map(type, t)):
                 return entry
-            slid[i].append(t)
+            return kind, i, i, t
+        j = i
+        if kind == "mixed_cross":
+            j = entry.get("j")
+            if len(entry) != 4 or type(j) is not int or j == i:
+                return entry
+        elif len(entry) != 3 or (kind != "twist" and kind != "self_cross"):
+            return entry
+        s = entry.get("s")
+        if type(s) is not int or (s != 1 and s != -1):
+            return entry
+        return kind, i, j, s
+
+    def add(token, k=1):
+        kind, i, j, value = token
+        if kind == "slide":
+            slid[i].append(value if k == 1 else [k * x for x in value])
         else:
-            j = i
-            if kind == "mixed_cross":
-                j = entry.get("j")
-                if len(entry) != 4 or type(j) is not int or j == i:
-                    return entry
-            elif len(entry) != 3 or (kind != "twist" and kind != "self_cross"):
-                return entry
-            s = entry.get("s")
-            if type(s) is not int or (s != 1 and s != -1):
-                return entry
-            signs[kind] += s
+            signs[kind] += k * value
             seen.add(j)
         seen.add(i)
-        count += 1
-        return _TALLIED
 
     def fold():
         # _tally_writhe is linear in each component's slide vectors
@@ -798,35 +799,42 @@ def _trace_checker(h2_rank: int):
             if len(ts) > 1:
                 slid[i] = [[sum(col) for col in zip(*ts)]]
 
-    def tallied(doc, moves: int, M: ManifoldModel):
+    def tallied(doc, M: ManifoldModel):
         problems: list[str] = []
         alpha, _ = _trace_parts(doc, M, problems)
         r = alpha.size
-        if problems or count != moves or seen and (min(seen) < 1 or max(seen) > r):
+        if problems or seen and (min(seen) < 1 or max(seen) > r):
             return None
         vectors = [slid.get(k, ()) for k in range(1, r + 1)]
         w = _tally_writhe(_slide_vectors(M, alpha), signs, vectors)
         return (alpha, *_trace_result(M, alpha, w))
 
-    return check, fold, tallied
+    return check, add, fold, tallied
 
 
 def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
     """trace_evaluate(M, trace_from_document(doc, M)), with the trace's alpha,
     in one pass that builds no move object when the document is well formed:
-    a _trace_checker tallies each move entry, and the writhe is taken once at
-    the end. The command line tallies the same way as it reads the trace's
-    text in blocks, but does not fall back to this on a trace it gives up on.
+    a _trace_checker checks and tallies each move entry, and the writhe is
+    taken once at the end. The command line tallies the same way as it reads
+    the trace's text in blocks, but does not fall back to this on a trace it
+    gives up on.
 
     At the first parse problem or faulty entry the document is read again by
     trace_from_document and trace_evaluate, which own every fault's message.
     """
-    check, _, tallied = _trace_checker(M.h2_rank)
+    check, add, _, tallied = _trace_checker(M.h2_rank)
     moves = doc.get("moves", []) if type(doc) is dict else None
-    if type(moves) is list and all(type(e) is dict and check(e) is _TALLIED for e in moves):
-        done = tallied(doc, len(moves), M)
-        if done is not None:
-            return done
+    if type(moves) is list:
+        for entry in moves:
+            token = check(entry) if type(entry) is dict else None
+            if type(token) is not tuple:
+                break
+            add(token)
+        else:
+            done = tallied(doc, M)
+            if done is not None:
+                return done
     tr = trace_from_document(doc, M)
     return (tr.alpha, *trace_evaluate(M, tr))
 

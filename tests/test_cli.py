@@ -270,6 +270,18 @@ STDIN_TRACES["long_escaped"] = json.dumps({
     "alpha": [{"id": "caf\u00e9", "h": [1]}, {"id": "2"}],
     "moves": THREE_MOVE_TRACE["moves"] * 1000,
 }).replace('"twist"', '"\\u0074wist"').encode()
+# top-level keys that repeat, each "!" taken off: json keeps a key's last
+# value, so these drop a moves past a read block, a faulty move and an alpha
+# with a lone surrogate escape
+STDIN_TRACES.update({name: json.dumps(doc).replace('!"', '"').encode() for name, doc in {
+    "repeated_long_moves": {"moves": THREE_MOVE_TRACE["moves"] * 1000, **THREE_MOVE_TRACE,
+                            "moves!": THREE_MOVE_TRACE["moves"][:1]},
+    "repeated_faulty_moves": {"moves": [{"type": "hop"}], **THREE_MOVE_TRACE,
+                              "moves!": THREE_MOVE_TRACE["moves"] * 1000},
+    "repeated_faulty_alpha": {"alpha": [{"id": "\ud800", "h": [1]}],
+                              "moves": THREE_MOVE_TRACE["moves"] * 1000,
+                              "alpha!": THREE_MOVE_TRACE["alpha"]},
+}.items()})
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -285,7 +297,8 @@ def test_reduce_reads_stdin_as_it_reads_a_file(tmp_path, name):
     from_stdin = subprocess.run([*argv, "/dev/stdin"], input=data, capture_output=True,
                                 timeout=120)
     expected_code = {"valid": 0, "index_past_r": 3, "class_length": 3, "long_valid": 0,
-                     "long_index_past_r": 3, "long_escaped": 0}.get(name, 2)
+                     "long_index_past_r": 3, "long_escaped": 0, "repeated_long_moves": 0,
+                     "repeated_faulty_moves": 0, "repeated_faulty_alpha": 0}.get(name, 2)
     assert from_file.returncode == expected_code, from_file.stderr
     assert len(from_file.stderr.splitlines()) == (expected_code != 0)
     assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (
@@ -293,6 +306,27 @@ def test_reduce_reads_stdin_as_it_reads_a_file(tmp_path, name):
         from_file.stdout,
         from_file.stderr.replace(str(path).encode(), b"/dev/stdin"),
     )
+    if name.startswith("repeated_"):
+        # json keeps each key's last value: the document it reads prints the same
+        path.write_text(json.dumps(json.loads(data)), encoding="utf-8")
+        assert subprocess.run([*argv, str(path)], capture_output=True, timeout=120).stdout == (
+            from_file.stdout
+        )
+
+
+def test_a_whole_text_read_leaves_no_unclosed_file(tmp_path):
+    # read_text wraps the open file to decode it and must not leave the
+    # wrapper to the garbage collector, which -X dev reports as an unclosed
+    # file beside the one error line
+    trace = tmp_path / "trace.json"
+    trace.write_bytes(STDIN_TRACES["index_past_r"])
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text('[[{"id": "ghost"}]]', encoding="utf-8")
+    for verb, flag, path in (("reduce", "--trace", trace), ("table", "--alphas", alphas)):
+        res = subprocess.run([sys.executable, "-X", "dev", "-m", "skeinmod", verb, "--manifold",
+                              "S2xS1", flag, str(path)], capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode in (2, 3) and len(res.stderr.splitlines()) == 1, res.stderr
 
 
 def test_freeness_reports(tmp_path):

@@ -235,7 +235,11 @@ def planted_traces(draw):
     r = draw(st.integers(0, 3))
     h2_rank = REDUCE_MODELS[name].h2_rank
     plain = move_objects(r, h2_rank)
-    moves = st.lists(move_objects(r, h2_rank, plain), max_size=6)
+    # a move text may come again, so a run's distinct texts count more than once
+    moves = st.lists(move_objects(r, h2_rank, plain), max_size=6).flatmap(
+        lambda objs: st.just(objs) | st.lists(st.sampled_from(objs), max_size=12)
+        if objs else st.just(objs)
+    )
     if draw(RARELY):
         return name, _json_text(draw(plain))
     ids = REDUCE_IDS[name]
@@ -295,6 +299,34 @@ def _parse_then_evaluate_lines(path, M):
 @example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [], "\u00e9": 1}'))
 # a lone surrogate escape in an inline class's id, which alpha resolves
 @example(case=("S2xS1", '{"alpha": [{"id": "\\ud800", "h": [1]}], "moves": []}'))
+# "},{" and "}, {" in a move type and in an unknown key, and "},{" in a type
+# that a repeated key drops, so the accepted move's text holds two braces more
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 1, "s": 1}, '
+                        '{"type": "twist}, {", "i": 1, "s": 1}, {"type": "twist", "i": 1, "s": 1}]}'))
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 1, "s": 1}, '
+                        '{"type": "twist", "i": 1, "s": 1, "},{": 1}]}'))
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 1, "s": 1},'
+                        '{"type": "x},{", "type": "twist", "i": 1, "s": 1},'
+                        '{"type": "twist", "i": 1, "s": 1}]}'))
+# no JSON, though its distinct texts split at "},{" join to as many accepted
+# moves: the second text holds the "}, {" of the run's other separator
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "s": 1, "i": "},'
+                        '{", "i": 1}, {"type": "twist", "i": 1, "s": -1},{", "i": 1}, '
+                        '{"type": "twist", "i": 1, "s": -1}]}'))
+# a "}" in a string that a repeated key drops, before the run's first separator
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"i": "}", "type": "twist", "i": 1, '
+                        '"s": 1}, {"type": "twist", "i": 1, "s": 1}]}'))
+# separators of two spellings in one run, each text twice
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}, {"id": "2"}], "moves": [{"type": "slide", "i": 1, '
+                        '"t": [2]},{"type": "twist", "i": 2, "s": -1}, {"type": "slide", "i": 1, '
+                        '"t": [2]},\n{"type": "twist", "i": 2, "s": -1}]}'))
+# a run of one object, a slide and a move past r
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "slide", "i": 1, "t": [3]}]}'))
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 2, "s": 1}]}'))
+# json.dumps(..., indent=2), whose texts come three and two times
+@example(case=("T3", json.dumps({"alpha": [{"id": "1,0,0"}, {"id": "0,1,-1"}], "moves": [
+    {"type": "slide", "i": 2, "t": [1, -2, 3]}, {"type": "mixed_cross", "i": 2, "j": 1, "s": -1},
+] * 2 + [{"type": "slide", "i": 2, "t": [1, -2, 3]}]}, indent=2)))
 @pytest.mark.parametrize("block", [1, 7, 64, cli._READ_BLOCK])
 def test_reduce_gives_what_parse_then_evaluate_gives(block, case):
     name, text = case
@@ -368,6 +400,85 @@ def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, f
     path.write_text(json.dumps({**doc, "extra": 1}), encoding="utf-8")
     assert _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])[0] == 2
     assert calls == ["read_text", "decode_json"]
+
+
+@pytest.mark.parametrize("dump", [{}, {"separators": (",", ":")}, {"indent": 2}],
+                         ids=["default", "compact", "indent"])
+def test_a_run_decodes_each_distinct_move_text_once(monkeypatch, tmp_path, dump):
+    # _long_trace's 10^4 moves have 5 texts, so each run of objects calls
+    # check at most 5 times; a reader that fell back to decoding every move
+    # would pass every equality test
+    checks, runs = [], []
+
+    def checker(h2_rank):
+        check, *rest = skein._trace_checker(h2_rank)
+
+        def counted(entry):
+            checks.append(None)
+            return check(entry)
+
+        return (counted, *rest)
+
+    def run_end(self, real=cli._Blocks.run_end):
+        runs.append(None)
+        return real(self)
+
+    monkeypatch.setattr(cli, "_trace_checker", checker)
+    monkeypatch.setattr(cli._Blocks, "run_end", run_end)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(_long_trace(10**4), **dump), encoding="utf-8")
+    expected = _parse_then_evaluate_lines(str(path), REDUCE_MODELS["S2xS1"])
+    code, out, err = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])
+    assert (code, out.decode().splitlines(), err) == expected and expected[0] == 0
+    assert 0 < len(checks) <= 5 * len(runs) < 10**3, (len(checks), len(runs))
+
+
+# trace texts whose top-level keys repeat, where json keeps each key's last
+# value. A dropped value is a valid one, one past a read block, an alpha that
+# is never resolved, or a faulty one: a move no tally takes, or a lone
+# surrogate escape
+_DROPPED_MOVES = [{"type": "twist", "i": 1, "s": 1}, {"type": "slide", "i": 1, "t": [4]}]
+REPEATED_KEYS = {
+    "moves_valid_dropped": {"moves": _DROPPED_MOVES, "alpha": [{"id": "1"}],
+                            "moves!": [{"type": "slide", "i": 1, "t": [-1]}]},
+    "moves_faulty_dropped": {"moves": [{"type": "twist", "i": 1, "s": 2}], "alpha": [{"id": "1"}],
+                             "moves!": _DROPPED_MOVES},
+    "moves_long_dropped": {"alpha": [{"id": "1"}], "moves": _DROPPED_MOVES * 3000,
+                           "moves!": _DROPPED_MOVES},
+    "alpha_valid_dropped": {"alpha": [{"id": "1"}], "moves": _DROPPED_MOVES,
+                            "alpha!": [{"id": "2"}, {"id": "-1"}]},
+    "alpha_unknown_id_dropped": {"alpha": [{"id": "ghost"}], "moves": _DROPPED_MOVES,
+                                 "alpha!": [{"id": "2"}]},
+    "alpha_faulty_dropped": {"alpha": [{"id": "\ud800", "h": [1]}], "moves": _DROPPED_MOVES,
+                             "alpha!": [{"id": "2"}]},
+    "both_dropped": {"alpha": [{"id": "1"}], "moves": [], "alpha!": [{"id": "2"}],
+                     "moves!": _DROPPED_MOVES * 3000},
+}
+
+
+def repeated_key_text(name) -> str:
+    """REPEATED_KEYS[name] as JSON text, each key's "!" taken off."""
+    return json.dumps(REPEATED_KEYS[name]).replace('!"', '"')
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEYS))
+def test_a_repeated_key_keeps_its_last_value(monkeypatch, tmp_path, name):
+    # a repeated moves starts a fresh tally and a repeated alpha replaces the
+    # last; only a fault in a dropped value sends the text to the whole-text
+    # read, which gives the same answer
+    calls = []
+
+    def spy(*args, real=cli.read_text):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "read_text", spy)
+    path = tmp_path / "trace.json"
+    path.write_text(repeated_key_text(name), encoding="utf-8")
+    expected = _parse_then_evaluate_lines(str(path), REDUCE_MODELS["S2xS1"])
+    code, out, err = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])
+    assert (code, out.decode().splitlines(), err) == expected and expected[0] == 0
+    assert len(calls) == ("faulty" in name)
 
 
 def test_reduce_memory_does_not_follow_the_trace_length(tmp_path):
