@@ -20,7 +20,7 @@ import re
 import sys
 from collections import Counter
 from collections.abc import Iterable
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import gcd
 from operator import add, attrgetter
 
@@ -53,10 +53,9 @@ from .skein import (
     _trace_checker,
     alpha_from_refs,
     class_pairings,
+    evaluate_trace_document,
     is_free,
     link_index,
-    trace_evaluate,
-    trace_from_document,
 )
 
 _TAG_LABEL = {"sprime": "S'", "s": "S", "l": "L", "w": "W"}
@@ -329,18 +328,18 @@ def cmd_decompose(args) -> Iterable[str]:
         )
     module = args.module
     indexed = _enumerate_alphas(M, args.bound)
-    # each index's text is formatted once; the caches belong to these
-    # functions, made anew for each run
+    # each index's text is formatted once while its memo holds it; the memos
+    # belong to these functions, made anew for each run
     if args.json:
         # a class entry's text by its id, which fixes a coordinate label's entry
         entries = _kept(lambda c: _indented(class_to_entry(c), 4), attrgetter("id"))
-        members = cache(lambda idx: _members_json(
+        members = _kept(lambda idx: _members_json(
             {"eps_prime": list(idx.eps_prime), **_summand_json(idx.summand(module))}, 3
         ))
         head = {"manifold": M.name, "module": module, "bound": args.bound}
         rows = (_row_json(components, entries, members(idx)) for components, _, idx in indexed)
         return _json_lines(head, rows)
-    tail = cache(
+    tail = _kept(
         lambda idx: f"eps'={_tuple_str(idx.eps_prime)} {idx.summand(module).render(' ')}"
     )
     return itertools.chain(
@@ -529,12 +528,8 @@ def cmd_reduce(args) -> list[str]:
         done = _streamed_trace(fh, M)
         if done is None:
             fh.seek(0)
-            text = read_text(args.trace, "trace", fh)
-    if done is None:
-        doc = decode_json(text, args.trace, "trace")
-        del text  # the parsed document is held from here on, not its text
-        tr = trace_from_document(doc, M)
-        done = (tr.alpha, *trace_evaluate(M, tr))
+            doc = decode_json(read_text(args.trace, "trace", fh), args.trace, "trace")
+            done = evaluate_trace_document(doc, M)
     alpha, raw, element = done
     if args.module != "sprime":
         element = element.specialize(args.module)

@@ -273,7 +273,7 @@ def gamma_prime(
 
 def mu_index(M: ManifoldModel, alpha: LinkClass) -> int:
     """gcd over components and sphere generators of |pairing|, 0 if all vanish."""
-    return gcd(*(class_pairings(M, c)[2] for c in alpha.components))
+    return link_index(M, alpha).mu
 
 
 class SummandRelations(Value):
@@ -363,7 +363,7 @@ def torsion_annihilator(M: ManifoldModel, alpha: LinkClass, module_tag: str):
     when the summand is free); for sprime returns the tuple of ideal
     generators (empty when free).
     """
-    relations = link_index(M, alpha).summand(_check_tag(module_tag)).relations
+    relations = link_index(M, alpha).summand(module_tag).relations
     if module_tag == "sprime":
         return relations
     return relations[0] if relations else LaurentPoly1.zero()
@@ -748,10 +748,10 @@ def _trace_checker(h2_rank: int):
     seen. fold() sums each index's slide vectors into one, so the tally of a
     trace read in runs holds one vector per index.
 
-    tallied(doc, M) is evaluate_trace_document's result when the tallied
-    moves are the moves objects of trace document doc; None when doc has a
-    parse problem or the tally an index that names no component of doc's
-    alpha.
+    tallied(doc, M) is (alpha, raw, element) of trace document doc, as
+    trace_from_document and trace_evaluate give them, when the tallied moves
+    are doc's moves objects; None when doc has a parse problem or the tally
+    an index that names no component of doc's alpha.
     """
     signs = _empty_tally(0)[0]
     slid = defaultdict(list)  # component index -> the vectors it slid along
@@ -813,28 +813,7 @@ def _trace_checker(h2_rank: int):
 
 
 def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
-    """trace_evaluate(M, trace_from_document(doc, M)), with the trace's alpha,
-    in one pass that builds no move object when the document is well formed:
-    a _trace_checker checks and tallies each move entry, and the writhe is
-    taken once at the end. The command line tallies the same way as it reads
-    the trace's text in blocks, but does not fall back to this on a trace it
-    gives up on.
-
-    At the first parse problem or faulty entry the document is read again by
-    trace_from_document and trace_evaluate, which own every fault's message.
-    """
-    check, add, _, tallied = _trace_checker(M.h2_rank)
-    moves = doc.get("moves", []) if type(doc) is dict else None
-    if type(moves) is list:
-        for entry in moves:
-            token = check(entry) if type(entry) is dict else None
-            if type(token) is not tuple:
-                break
-            add(token)
-        else:
-            done = tallied(doc, M)
-            if done is not None:
-                return done
+    """The trace's alpha and trace_evaluate(M, trace_from_document(doc, M))."""
     tr = trace_from_document(doc, M)
     return (tr.alpha, *trace_evaluate(M, tr))
 

@@ -1,12 +1,16 @@
 """Indices, summands, trace evaluation, element algebra, freeness."""
 
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import literal_pairing, member_by_invariants
+from skeinmod import cli
 from skeinmod.errors import DimensionError, ParseError
 from skeinmod.laurent import LaurentPoly1, LaurentPoly2
 from skeinmod.manifold import (
@@ -30,7 +34,6 @@ from skeinmod.skein import (
     alpha_from_refs,
     epsilon,
     epsilon_prime,
-    evaluate_trace_document,
     gamma_prime,
     is_free,
     mu_index,
@@ -457,7 +460,7 @@ def test_alpha_from_refs_rejects_bad_shapes():
         alpha_from_refs([{"id": "x", "torsion_tag": "t"}], M)
 
 
-# -- the one-pass document walk against parse-then-evaluate ----------------------
+# -- the command line's block tally against parse-then-evaluate ------------------
 
 P22 = model_from_document(
     {
@@ -563,6 +566,12 @@ def _parse_then_evaluate(doc, M):
     return (tr.alpha, *trace_evaluate(M, tr))
 
 
+def _streamed(doc, M):
+    """What reduce's block reader makes of doc's JSON text: None when reduce
+    falls back to parse-then-evaluate."""
+    return cli._streamed_trace(io.BytesIO(json.dumps(doc).encode()), M)
+
+
 TWO = [{"id": "1"}, {"id": "2"}]
 WRONG_LENGTH = [{"id": "b", "h": [1, 2]}]
 SLIDE = {"type": "slide", "i": 1, "t": [1]}
@@ -603,9 +612,12 @@ SLIDE = {"type": "slide", "i": 1, "t": [1]}
     "extra": 1,
 }))
 def test_one_pass_walk_equals_parse_then_evaluate(case):
+    # the reader gives up (None) on what it does not take, and reduce then
+    # parses the text whole; what it does give, a result or an error from
+    # alpha's resolution, is parse-then-evaluate's
     model, doc = case
-    expected = _outcome(lambda: _parse_then_evaluate(doc, model))
-    assert _outcome(lambda: evaluate_trace_document(doc, model)) == expected
+    streamed = _outcome(lambda: _streamed(doc, model))
+    assert streamed is None or streamed == _outcome(lambda: _parse_then_evaluate(doc, model))
 
 
 # -- the tally against a literal per-move sum ---------------------------------------
@@ -669,10 +681,14 @@ def _literal_writhe(model, alpha, moves):
 @given(case=tallied_traces())
 def test_tally_equals_parse_then_evaluate_and_literal_sum(case):
     model, doc = case
-    walked = evaluate_trace_document(doc, model)
-    assert walked == _parse_then_evaluate(doc, model)
-    alpha, raw, _element = walked
+    expected = _parse_then_evaluate(doc, model)
+    alpha, raw, _element = expected
     assert raw == _literal_writhe(model, alpha, doc["moves"])
+    # a block of 7 bytes cuts most moves and big entries; 65,536 is reduce's own
+    for block in (7, cli._READ_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_READ_BLOCK", block)
+            assert _streamed(doc, model) == expected, block
 
 
 # one faulty entry for two components and h2_rank 1, for each fault of
@@ -695,7 +711,15 @@ FAULTY_LAST = {
 }
 
 
-def test_a_faulty_last_entry_gets_the_parse_then_evaluate_error():
+def _reduce(path):
+    """(exit code, stdout, stderr) of reduce on the S2xS1 trace at path."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["reduce", "--manifold", "S2xS1", "--trace", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_faulty_last_entry_gets_the_parse_then_evaluate_error(tmp_path):
     assert FAULTY_LAST.keys() >= set(MOVE_FAULTS)
     rng = random.Random(12)
     moves = []
@@ -708,10 +732,15 @@ def test_a_faulty_last_entry_gets_the_parse_then_evaluate_error():
             moves.append({"type": kind, "i": i, "j": 3 - i, "s": rng.choice((1, -1))})
         else:
             moves.append({"type": kind, "i": i, "s": rng.choice((1, -1))})
-    assert evaluate_trace_document({"alpha": TWO, "moves": moves}, M)[0].size == 2
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"alpha": TWO, "moves": moves}), encoding="utf-8")
+    assert _reduce(path)[0] == 0
     for fault, entry in FAULTY_LAST.items():
         doc = {"alpha": TWO, "moves": moves + [entry]}
-        expected = _outcome(lambda: _parse_then_evaluate(doc, M))
-        assert expected[0] in (ParseError, DimensionError), fault
-        assert "moves[10000]" in expected[1] or "move 10000" in expected[1], fault
-        assert _outcome(lambda: evaluate_trace_document(doc, M)) == expected, fault
+        kind, message = _outcome(lambda: _parse_then_evaluate(doc, M))
+        assert kind in (ParseError, DimensionError), fault
+        assert "moves[10000]" in message or "move 10000" in message, fault
+        category, code = ("parse", 2) if kind is ParseError else ("dimension", 3)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        expected = code, "", f"error:{category}:{' '.join(message.split())}\n"
+        assert _reduce(path) == expected, fault
