@@ -171,7 +171,7 @@ def cmd_index(args) -> list[str]:
 
 # the single classes a decompose walk keeps the pairing records of; past this
 # many, a single's record is made again at each visit. A _kept memo keeps as
-# many texts
+# many texts or labels
 _SINGLES_KEPT = 4096
 # the link indices a decompose walk keeps, by the data Gamma' is built from;
 # when this many are kept, the memo is emptied
@@ -195,31 +195,30 @@ def _kept(fn, key=None):
     return get
 
 
-def _fold_pairings(firsts: dict, seconds: dict, pairs):
+def _fold_pairings(folded: dict, pairs) -> dict:
     """A link class's folded pairings with one more class's (t, a) pairs folded
-    in: firsts maps each covector t to a_t, the first pairing t.h_i, and
-    seconds maps t to a_t + g_t when g_t, the gcd of the differences of the
-    t.h_i, is not 0."""
-    firsts, seconds = dict(firsts), dict(seconds)
+    in: folded maps each covector t to (a_t, g_t), a_t the first pairing t.h_i
+    and g_t the gcd of the differences of the t.h_i."""
+    folded = dict(folded)
     for t, a in pairs:
-        first = firsts.setdefault(t, a)
-        if a != first:
-            seconds[t] = first + gcd(seconds.get(t, first) - first, a - first)
-    return firsts, seconds
+        a_t, g_t = folded.get(t, (a, 0))
+        folded[t] = a_t, gcd(g_t, a - a_t)
+    return folded
 
 
-def _folded_records(firsts: dict, seconds: dict, mu: int):
+def _folded_records(folded: dict, mu: int):
     """Two pairing records for gamma_prime, each t with a_t and each t with
-    a_t + g_t. With T = t.H, (a_t, T - a_t) and (a_t + g_t, T - a_t - g_t)
-    span what (a, T - a) spans over t's pairings a, which differ from a_t by
-    the multiples of g_t."""
-    return (firsts, firsts.values(), mu), (seconds, seconds.values(), mu)
+    g_t != 0 with a_t + g_t. With T = t.H, (a_t, T - a_t) and (a_t + g_t,
+    T - a_t - g_t) span what (a, T - a) spans over t's pairings a, which
+    differ from a_t by the multiples of g_t."""
+    seconds = {t: a + g for t, (a, g) in folded.items() if g}
+    return (folded, [a for a, _ in folded.values()], mu), (seconds, seconds.values(), mu)
 
 
-def _index_key(known, firsts: dict, total, pairs: dict, h, mu: int) -> tuple:
+def _index_key(known, folded: dict, total, pairs: dict, h, mu: int) -> tuple:
     """What a prefix's Gamma' and mu with a class h folded in are built from:
     mu, then a_t, g_t and T = t.H of the row for each covector t, first the
-    prefix's (known holds each t with its a_t, g_t and t.H in firsts' order)
+    prefix's (known holds each t with its a_t, g_t and t.H in folded's order)
     and then the class's others. pairs maps the class's covectors to their
     pairings t.h. Gamma' is spanned by (a_t, T - a_t) and (a_t + g_t,
     T - a_t - g_t), so rows with equal keys have equal link indices."""
@@ -231,7 +230,7 @@ def _index_key(known, firsts: dict, total, pairs: dict, h, mu: int) -> tuple:
         else:
             key += (a_t, gcd(g_t, a - a_t), on_total + a)
     for t, a in pairs.items():
-        if t not in firsts:
+        if t not in folded:
             key += (a, 0, _dot(t, total) + a)
     return tuple(key)
 
@@ -239,11 +238,12 @@ def _index_key(known, firsts: dict, total, pairs: dict, h, mu: int) -> tuple:
 def _enumerate_alphas(M: ManifoldModel, bound: int):
     """(components, alpha text, link_index) for all multisets alpha of size <=
     bound over classes with coordinates in [-bound, bound], ordered by size
-    then lexicographically. A depth-first walk over nondecreasing single
-    indices carries each prefix's H, folded pairings, mu, components and text.
-    A row reads its _index_key off its prefix and its class; only a row whose
-    key the memo lacks folds its class in and builds Gamma'. The memo keeps
-    up to _INDICES_KEPT indices and is emptied when full."""
+    then lexicographically. For each size, a recursive walk over
+    nondecreasing single indices gives each prefix of size - 1 classes with
+    its H, folded pairings, mu, components and text. A row reads its
+    _index_key off its prefix and its class; only a row whose key the memo
+    lacks folds its class in and builds Gamma'. The memo keeps up to
+    _INDICES_KEPT indices and is emptied when full."""
     yield (), "", link_index(M, None, (), ())
     rank = M.h1_rank
     if rank == 0 or bound == 0:
@@ -266,53 +266,45 @@ def _enumerate_alphas(M: ManifoldModel, bound: int):
         covectors, values, mu = class_pairings(M, label)
         return label, dict(zip(covectors, values)), mu
 
-    def extend(prefix, k):
-        total, firsts, seconds, mu, components, text = prefix
-        label, pairs, class_mu = single(k)
-        return (
-            tuple(map(add, total, label.h.free)),
-            *_fold_pairings(firsts, seconds, pairs.items()),
-            gcd(mu, class_mu),
-            components + (label,),
-            text + sep + label.id if components else label.id,
-        )
+    def prefixes(prefix, low, depth):
+        # prefix extended by depth classes of index low or more, in walk
+        # order, each with the least index that may extend it
+        if not depth:
+            yield prefix, low
+            return
+        total, folded, mu, components, text = prefix
+        for k in range(low, count):
+            label, pairs, class_mu = single(k)
+            yield from prefixes((
+                tuple(map(add, total, label.h.free)),
+                _fold_pairings(folded, pairs.items()),
+                gcd(mu, class_mu),
+                components + (label,),
+                text + sep + label.id if components else label.id,
+            ), k, depth - 1)
 
     indices = {}
-    root = ((0,) * rank, {}, {}, 0, (), "")
+    root = ((0,) * rank, {}, 0, (), "")
     for size in range(1, bound + 1):
-        # each level: a prefix of size - 1 or fewer classes and the least
-        # index that may extend it
-        stack = [[root, 0]]
-        while stack:
-            level = stack[-1]
-            prefix, low = level
-            if len(stack) == size:
-                total, firsts, seconds, mu, components, text = prefix
-                # each covector t of the prefix with a_t, g_t and t.H of the prefix
-                known = [(t, a, seconds.get(t, a) - a, _dot(t, total)) for t, a in firsts.items()]
-                for k in range(low, count):
-                    label, pairs, class_mu = single(k)
-                    row_mu = gcd(mu, class_mu)
-                    key = _index_key(known, firsts, total, pairs, label.h.free, row_mu)
-                    idx = indices.get(key)
-                    if idx is None:
-                        if len(indices) >= _INDICES_KEPT:
-                            indices.clear()
-                        folded = _fold_pairings(firsts, seconds, pairs.items())
-                        row_total = tuple(map(add, total, label.h.free))
-                        records = _folded_records(*folded, row_mu)
-                        idx = indices[key] = link_index(M, None, records, row_total)
-                    yield (
-                        components + (label,),
-                        text + sep + label.id if components else label.id,
-                        idx,
-                    )
-                stack.pop()
-            elif low == count:
-                stack.pop()
-            else:
-                level[1] = low + 1
-                stack.append([extend(prefix, low), low])
+        for (total, folded, mu, components, text), low in prefixes(root, 0, size - 1):
+            # each covector t of the prefix with a_t, g_t and t.H of the prefix
+            known = [(t, a, g, _dot(t, total)) for t, (a, g) in folded.items()]
+            for k in range(low, count):
+                label, pairs, class_mu = single(k)
+                row_mu = gcd(mu, class_mu)
+                key = _index_key(known, folded, total, pairs, label.h.free, row_mu)
+                idx = indices.get(key)
+                if idx is None:
+                    if len(indices) >= _INDICES_KEPT:
+                        indices.clear()
+                    records = _folded_records(_fold_pairings(folded, pairs.items()), row_mu)
+                    row_total = tuple(map(add, total, label.h.free))
+                    idx = indices[key] = link_index(M, None, records, row_total)
+                yield (
+                    components + (label,),
+                    text + sep + label.id if components else label.id,
+                    idx,
+                )
 
 
 def cmd_decompose(args) -> Iterable[str]:
@@ -605,9 +597,15 @@ def _label_hook(M: ManifoldModel):
     """json's object_hook for an alphas file over M: a well-formed class ref
     whose id and torsion_tag are ASCII comes back as its ClassLabel, any other
     object unchanged. ASCII holds no lone surrogate, so decode_json's walk
-    still reads every string that may hold one."""
+    still reads every string that may hold one. A ref that is only an id is
+    looked up once while a _kept memo holds it, so repeated refs share a
+    label."""
+    by_id = _kept(M.class_by_id)
 
     def label(entry):
+        cid = entry.get("id")
+        if len(entry) == 1 and type(cid) is str and cid.isascii():
+            return by_id(cid) or entry
         problems = []
         found = class_from_entry(entry, "", problems, M)
         if problems or not found.id.isascii() or not (found.h.torsion_tag or "").isascii():

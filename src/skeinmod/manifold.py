@@ -170,12 +170,15 @@ class ManifoldModel(Value):
     def pairing_eval(self, s: HomologyClass2, h: HomologyClass1) -> int:
         """Oriented intersection number: s transposed, times the pairing, times h."""
         covector = self._covector(s.vec)
-        if len(h.free) != self.h1_rank:
+        self._check_h1(h.free)
+        return _dot(covector, h.free)
+
+    def _check_h1(self, free) -> None:
+        if len(free) != self.h1_rank:
             raise DimensionError(
-                f"1-class {_vec_str(h.free)} has length {len(h.free)}, "
+                f"1-class {_vec_str(free)} has length {len(free)}, "
                 f"expected h1_rank = {self.h1_rank}"
             )
-        return _dot(covector, h.free)
 
     def _covector(self, t) -> tuple[int, ...]:
         """t^T P, the pairing rows weighted by t's nonzero entries: t pairs
@@ -230,11 +233,7 @@ class ManifoldModel(Value):
 
     def torus_subgroup(self, c: ClassLabel) -> tuple[HomologyClass2, ...]:
         """Exception list if one is keyed by c.id, else rule output, else default."""
-        if len(c.h.free) != self.h1_rank:
-            raise DimensionError(
-                f"1-class {_vec_str(c.h.free)} has length {len(c.h.free)}, "
-                f"expected h1_rank = {self.h1_rank}"
-            )
+        self._check_h1(c.h.free)
         listed = self._exceptions_by_id.get(c.id)
         if listed is not None:
             return listed

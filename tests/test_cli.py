@@ -806,6 +806,26 @@ def test_table_rows_reusing_a_table_id_print_what_index_prints(tmp_path, capsys)
         assert line == f"alpha={alpha.removeprefix('alpha: ')} {indices} S'={sprime}", row
 
 
+def test_the_label_hook_shares_one_label_per_coordinate_id(tmp_path, capsys):
+    # a ref that is only an id is looked up once while the hook's memo holds it
+    label = cli._label_hook(builtin("S2xS1"))
+    first = label({"id": "1"})
+    assert label({"id": "1"}) is first and first.h.free == (1,)
+    # ids that name no class come back as the object, and table names them
+    ghost = {"id": "ghost"}
+    assert label(ghost) is ghost and label({"id": "1,0"}) == {"id": "1,0"}
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text('[[{"id": "1"}], [{"id": "1"}, {"id": "ghost"}, {"id": "1,0"}]]',
+                      encoding="utf-8")
+    assert cli.main(["table", "--manifold", "S2xS1", "--alphas", str(alphas)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error:parse:alphas[1]: alpha[1]: unknown class id 'ghost' (not in the model's class "
+        "table); alphas[1]: alpha[2]: unknown class id '1,0' (not in the model's class table)\n"
+    )
+
+
 def test_usage_errors_exit_2():
     for args in (
         ("bogusverb",),

@@ -133,6 +133,12 @@ def test_pairing_eval_dimension_errors_name_the_vector():
         m.pairing_eval(HomologyClass2((1,)), HomologyClass1((3, 4, 5)))
 
 
+
+def test_torus_subgroup_refuses_a_wrong_length_class():
+    with pytest.raises(DimensionError) as exc:
+        builtin("S2xS1").torus_subgroup(ClassLabel.coordinate((1, 2)))
+    assert str(exc.value) == "1-class [1,2] has length 2, expected h1_rank = 1"
+
 def test_torus_exception_dispatch():
     model = ManifoldModel(
         name="X",

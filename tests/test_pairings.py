@@ -169,22 +169,22 @@ def test_folded_records_build_the_same_gamma_prime(case):
     # decompose's walk folds each component's (t, a) pairs into a_t and g_t
     # per covector and builds Gamma' from at most two records per covector
     M, alpha = case
-    firsts, seconds, mu = {}, {}, 0
+    folded, mu = {}, 0
     for c in alpha.components:
         covectors, values, class_mu = class_pairings(M, c)
-        firsts, seconds = cli._fold_pairings(firsts, seconds, zip(covectors, values))
+        folded = cli._fold_pairings(folded, zip(covectors, values))
         mu = gcd(mu, class_mu)
     total = [sum(c.h.free[k] for c in alpha.components) for k in range(M.h1_rank)]
-    folded = cli._folded_records(firsts, seconds, mu)
+    records = cli._folded_records(folded, mu)
     # given the records and H, alpha is not read
-    lat = gamma_prime(M, None, folded, total)
+    lat = gamma_prime(M, None, records, total)
     assert lat.canon == gamma_prime(M, alpha).canon
-    assert len(lat.gens) <= 2 * len(firsts)
+    assert len(lat.gens) <= 2 * len(folded)
     gens, literal_mu = literal_gamma_mu(M, [(c.id, c.h.free) for c in alpha.components])
     assert invariant_profile(lat.gens) == invariant_profile(gens)
     assert all(member_by_invariants(gens, g) for g in lat.gens)
     assert all(member_by_invariants(lat.gens, g) for g in gens)
-    idx = link_index(M, None, folded, total)
+    idx = link_index(M, None, records, total)
     assert idx == link_index(M, alpha)
     assert idx.mu == literal_mu
     present = {t for c in alpha.components for t in class_pairings(M, c)[0]}
@@ -636,8 +636,8 @@ def test_nothing_depends_on_the_bases_of_h1_and_h2(case):
 # -- orientation reversal --------------------------------------------------------
 
 
-def _reduced_raw(tmp, model_doc, trace):
-    """The raw pair reduce --json prints for trace over the document model."""
+def _reduced(tmp, model_doc, trace, module="sprime"):
+    """The object reduce --json prints for trace over the document model."""
     paths = {}
     for name, doc in (("model", model_doc), ("trace", trace)):
         paths[name] = str(Path(tmp) / f"{name}.json")
@@ -645,9 +645,9 @@ def _reduced_raw(tmp, model_doc, trace):
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(["reduce", "--manifold", paths["model"], "--trace", paths["trace"],
-                         "--json"])
+                         "--module", module, "--json"])
     assert code == 0
-    return json.loads(out.getvalue())["raw"]
+    return json.loads(out.getvalue())
 
 
 @settings(max_examples=150)
@@ -671,5 +671,72 @@ def test_the_mirror_image_keeps_indices_and_negates_the_writhe(M, data):
     moves = data.draw(valid_moves(alpha.size, M.h2_rank))
     mirrored = [dict(mv, s=-mv["s"]) if "s" in mv else mv for mv in moves]
     with tempfile.TemporaryDirectory() as tmp:
-        w1, w2 = _reduced_raw(tmp, doc, {"alpha": refs, "moves": moves})
-        assert _reduced_raw(tmp, mirror_doc, {"alpha": refs, "moves": mirrored}) == [-w1, -w2]
+        w1, w2 = _reduced(tmp, doc, {"alpha": refs, "moves": moves})["raw"]
+        assert _reduced(tmp, mirror_doc, {"alpha": refs, "moves": mirrored})["raw"] == [-w1, -w2]
+
+
+# -- monodromies -------------------------------------------------------------------
+
+
+@st.composite
+def model_and_refs(draw):
+    """A random model or one of S2xS1, T3, handlebody(2) and the fixture, as a
+    document, with the model and up to three class refs: table ids,
+    coordinate classes and inline classes."""
+    M = draw(st.one_of(models(), st.sampled_from(
+        ("S2xS1", "T3", "handlebody(2)", str(FIXTURE_MANIFOLD))
+    ).map(cli.resolve_manifold)))
+    refs = []
+    for _ in range(draw(st.integers(0, 3))):
+        h = draw(st.lists(st.integers(-3, 3), min_size=M.h1_rank, max_size=M.h1_rank))
+        kind = draw(st.sampled_from(("table", "coordinate", "inline")))
+        if kind == "table" and M.classes:
+            refs.append({"id": draw(st.sampled_from(M.classes)).id})
+        elif kind == "inline":
+            refs.append({"id": draw(st.sampled_from(IDS + ("x",))), "h": h})
+        else:
+            refs.append(class_to_entry(ClassLabel.coordinate(h)))
+    return model_to_document(M), M, refs
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_and_refs(), st.data())
+def test_monodromies_reduce_to_zero(case, data):
+    # a slide of component i along a generator t of its torus subgroup has raw
+    # pair 2 (t.h_i, t.(H - h_i)), twice a Gamma' generator, and a twist and
+    # its inverse cancel: any such trace is 0 in every module
+    doc, M, refs = case
+    alpha = alpha_from_refs(refs, M)
+    moves = []
+    for i, c in enumerate(alpha.components, 1):
+        for g in M.torus_subgroup(c):
+            sign = data.draw(st.sampled_from((1, -1)))
+            moves += [{"type": "slide", "i": i, "t": [sign * x for x in g.vec]}] * data.draw(
+                st.integers(0, 2)
+            )
+        for _ in range(data.draw(st.integers(0, 1))):
+            s = data.draw(st.sampled_from((1, -1)))
+            moves += [{"type": "twist", "i": i, "s": s}, {"type": "twist", "i": i, "s": -s}]
+    moves = data.draw(st.permutations(moves))
+    with tempfile.TemporaryDirectory() as tmp:
+        for module in MODULE_TAGS:
+            reduced = _reduced(tmp, doc, {"alpha": refs, "moves": moves}, module)["reduced"]
+            assert reduced == ([0, 0] if module == "sprime" else 0), (module, moves)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_and_refs(), st.data())
+def test_reduced_is_the_raw_pair_modulo_twice_gamma_prime(case, data):
+    # two traces reduce alike in S' exactly when their raw pairs differ by an
+    # element of 2 Gamma', tested on the literal generators with no lattice code
+    doc, M, refs = case
+    alpha = alpha_from_refs(refs, M)
+    gens, _ = literal_gamma_mu(M, [(c.id, c.h.free) for c in alpha.components])
+    doubled = [(2 * a, 2 * b) for a, b in gens]
+    traces = [{"alpha": refs, "moves": data.draw(valid_moves(alpha.size, M.h2_rank))}
+              for _ in range(2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = (_reduced(tmp, doc, trace) for trace in traces)
+    difference = [w - v for w, v in zip(first["raw"], second["raw"])]
+    same = first["reduced"] == second["reduced"]
+    assert same == member_by_invariants(doubled, difference), (first, second)
