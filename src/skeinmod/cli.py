@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import io
 import itertools
 import json
 import os
@@ -20,6 +19,7 @@ import re
 import sys
 from collections import Counter
 from collections.abc import Iterable
+from contextlib import ExitStack
 from functools import lru_cache
 from math import gcd
 from operator import add, attrgetter
@@ -513,10 +513,16 @@ def cmd_reduce(args) -> list[str]:
     M = resolve_manifold(args.manifold)
     # one open of the file, so --trace /dev/stdin works. A trace the block
     # reader gives up on is read again from offset 0 and parsed whole; a pipe
-    # cannot be read again, so it is read into memory first
-    with opened(args.trace, "trace") as fh:
+    # cannot be read again, so it is copied to a temporary file first
+    with ExitStack() as stack:
+        fh = stack.enter_context(opened(args.trace, "trace"))
         if not fh.seekable():
-            fh = io.BytesIO(fh.read())
+            import shutil
+            import tempfile
+
+            pipe, fh = fh, stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(pipe, fh)
+            fh.seek(0)
         done = _streamed_trace(fh, M)
         if done is None:
             fh.seek(0)
@@ -641,13 +647,16 @@ def cmd_table(args) -> Iterable[str]:
         raise ParseError("; ".join(problems))
     # a class of the wrong length is the one fault link_index raises: check
     # every row before the first byte, in its link class's order, then build
-    # and index each row's link class as it is written
+    # and index each row's link class as it is written. Rows are popped off
+    # the reversed document, so none is kept past its line
     rank = M.h1_rank
     for refs in doc:
         if any(len(c.h.free) != rank for c in refs):
             for c in LinkClass(refs).components:
                 _check_class(c, rank)
-    indexed = ((alpha, link_index(M, alpha)) for alpha in (alpha_from_refs(r, M) for r in doc))
+    doc.reverse()
+    alphas = (alpha_from_refs(doc.pop(), M) for _ in range(len(doc)))
+    indexed = ((alpha, link_index(M, alpha)) for alpha in alphas)
     if args.json:
         entries = _kept(lambda c: _indented(class_to_entry(c), 4))
         members = _kept(lambda idx: _members_json({

@@ -168,6 +168,8 @@ LaurentPoly2.specialize = _specialize
 class SpecializationMap(Value):
     """Ring map out of the two-variable ring, sending each of q1, q2 to q or 1."""
 
+    __slots__ = ("target_of_q1", "target_of_q2")
+
     def __init__(self, target_of_q1: str, target_of_q2: str):
         object.__setattr__(self, "target_of_q1", target_of_q1)
         object.__setattr__(self, "target_of_q2", target_of_q2)

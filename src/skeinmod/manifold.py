@@ -38,6 +38,8 @@ class HomologyClass1(Value):
     into pairing values (torsion pairs to zero with everything).
     """
 
+    __slots__ = ("free", "torsion_tag")
+
     def __init__(self, free: tuple[int, ...], torsion_tag: str | None = None):
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "torsion_tag", torsion_tag)
@@ -45,6 +47,8 @@ class HomologyClass1(Value):
 
 class HomologyClass2(Value):
     """A second-homology class: coordinates in a fixed basis of H2/torsion."""
+
+    __slots__ = ("vec",)
 
     def __init__(self, vec: tuple[int, ...]):
         object.__setattr__(self, "vec", vec)
@@ -68,6 +72,8 @@ class ClassLabel(Value):
 
     Distinct ids may share the same h (distinct classes with equal homology).
     """
+
+    __slots__ = ("id", "h")
 
     def __init__(self, id: str, h: HomologyClass1):
         object.__setattr__(self, "id", id)

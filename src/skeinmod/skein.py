@@ -87,6 +87,8 @@ class LinkClass(Value):
     empty multiset is the empty link.
     """
 
+    __slots__ = ("components",)
+
     def __init__(self, components: tuple[ClassLabel, ...] = ()):
         ordered = tuple(sorted(components, key=ClassLabel.sort_key))
         object.__setattr__(self, "components", ordered)
@@ -171,6 +173,7 @@ class WrithePair(NamedTuple):
 
 class Twist(Value):
     kind = "twist"
+    __slots__ = ("i", "s")
 
     def __init__(self, i: int, s: int):
         object.__setattr__(self, "i", i)
@@ -179,6 +182,7 @@ class Twist(Value):
 
 class SelfCross(Value):
     kind = "self_cross"
+    __slots__ = ("i", "s")
 
     def __init__(self, i: int, s: int):
         object.__setattr__(self, "i", i)
@@ -187,6 +191,7 @@ class SelfCross(Value):
 
 class MixedCross(Value):
     kind = "mixed_cross"
+    __slots__ = ("i", "j", "s")
 
     def __init__(self, i: int, j: int, s: int):
         object.__setattr__(self, "i", i)
@@ -196,6 +201,7 @@ class MixedCross(Value):
 
 class Slide(Value):
     kind = "slide"
+    __slots__ = ("i", "t")
 
     def __init__(self, i: int, t: HomologyClass2):
         object.__setattr__(self, "i", i)
@@ -206,6 +212,8 @@ Move = Union[Twist, SelfCross, MixedCross, Slide]
 
 
 class MoveTrace(Value):
+    __slots__ = ("alpha", "moves")
+
     def __init__(self, alpha: LinkClass, moves: tuple[Move, ...] = ()):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "moves", moves)
@@ -281,6 +289,8 @@ class SummandRelations(Value):
 
     Empty relations mean the summand is the full free ring.
     """
+
+    __slots__ = ("module_tag", "relations")
 
     def __init__(self, module_tag: str, relations: tuple):
         object.__setattr__(self, "module_tag", module_tag)

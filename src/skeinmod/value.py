@@ -2,12 +2,17 @@
 the parameters of its __init__, which sets them with object.__setattr__.
 Values of one class are equal, and hash, as the tuples of their fields and
 repr as Name(field=value, ...). Assigning or deleting an attribute raises
-AttributeError, and pickle and copy rebuild a value through __init__."""
+AttributeError, and pickle and copy rebuild a value through __init__. A
+subclass names its fields again as __slots__, so its values keep no
+__dict__ and take no weak reference; one that keeps cached properties
+leaves __slots__ out."""
 
 from operator import attrgetter
 
 
 class Value:
+    __slots__ = ()
+
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1 : code.co_argcount]

@@ -70,6 +70,16 @@ def test_index_json_fields():
     assert payload["free_all"] is False
 
 
+def test_index_gives_eps2_as_the_absolute_value_of_a_negative_e2():
+    # Gamma' of [1,-1] over S2xS1 is Z(1, -1), with canonical triple (1, -1, 0)
+    res = run("index", "--manifold", "S2xS1", "--alpha", "[1,-1]")
+    assert res.returncode == 0
+    assert "eps'=(1,-1,0) eps=0 mu=1 eps2=1" in res.stdout
+    assert "L: R/(q^2 - 1)" in res.stdout
+    res = run("index", "--manifold", "S2xS1", "--alpha", "[1,-1]", "--json")
+    assert res.returncode == 0 and json.loads(res.stdout)["eps2"] == 1
+
+
 def test_decompose_matches_golden_file():
     res = run("decompose", "--manifold", "S2xS1", "--bound", "2")
     assert res.returncode == 0

@@ -121,6 +121,8 @@ def _gcd_abs(values):
 
 @settings(max_examples=150)
 @given(model_and_alpha())
+# Gamma' = Z(1, -1): rank 1 with e2 = -1, whose eps2 is |e2| = 1
+@example((builtin("S2xS1"), LinkClass((ClassLabel.coordinate((1,)), ClassLabel.coordinate((-1,))))))
 def test_link_index_equals_the_literal_sums(case):
     M, alpha = case
     idx = link_index(M, alpha)
