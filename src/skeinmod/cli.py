@@ -745,13 +745,16 @@ _WRITE_BLOCK = 1 << 16
 
 
 def _write_lines(lines: Iterable[str]) -> None:
-    """Write each line and a newline to stdout, in blocks of about 64 KiB."""
-    block, size = [], 0
+    """Write each line and a newline to stdout: the first line at once, the
+    rest in blocks of about 64 KiB, each flushed as it is written."""
+    # the first line fills the first block by itself
+    block, size = [], _WRITE_BLOCK
     for line in lines:
         block.append(line)
         size += len(line)
         if size >= _WRITE_BLOCK:
             sys.stdout.write("\n".join(block) + "\n")
+            sys.stdout.flush()
             block, size = [], 0
     if block:
         sys.stdout.write("\n".join(block) + "\n")

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output strings, determinism, exit codes."""
 
+import io
 import itertools
 import json
 import os
@@ -674,6 +675,25 @@ def test_decompose_streams_its_rows():
         b"manifold: handlebody(6)", b"module: sprime", b"bound: 2",
         b"alpha=[] eps'=(0,0,0) R' (free)", b"alpha=[-2,-2,-2,-2,-2,-2] eps'=(0,0,0) R' (free)",
     ]
+
+
+def test_the_first_line_is_out_before_the_second_is_made(monkeypatch):
+    # the reader sees the first line while the second is still being built;
+    # the rest still goes out in blocks, and the bytes are the lines joined
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", out)
+    seen = []
+
+    def lines():
+        yield "manifold: S2xS1"
+        seen.append(out.buffer.getvalue())
+        yield from (f"row {k}" for k in range(20000))
+
+    cli._write_lines(lines())
+    out.flush()
+    assert seen == [b"manifold: S2xS1\n"]
+    expected = "\n".join(["manifold: S2xS1"] + [f"row {k}" for k in range(20000)]) + "\n"
+    assert out.buffer.getvalue() == expected.encode()
 
 
 def test_closed_stdout_exits_141_with_nothing_on_stderr():

@@ -368,13 +368,16 @@ def _long_trace(n):
     return {"alpha": [{"id": "1"}, {"id": "2"}], "moves": [kinds[k % 5] for k in range(n)]}
 
 
-@pytest.mark.parametrize(("first", "escaped"), [
-    ("alpha", False), ("moves", False), ("alpha", True), ("moves", True),
-], ids=["alpha", "moves", "escaped-alpha", "escaped-moves"])
-def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, first, escaped):
+@pytest.mark.parametrize(("first", "escaped", "indent"), [
+    ("alpha", False, None), ("moves", False, None), ("alpha", True, None),
+    ("moves", True, None), ("moves", False, 2),
+], ids=["alpha", "moves", "escaped-alpha", "escaped-moves", "indented"])
+def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, first, escaped,
+                                                         indent):
     # neither the whole-text read nor its decode runs on a well-formed trace
     # of unique keys, in either order, also when \u escapes spell an alpha id
-    # (as json.dump writes a non-ASCII one) and a move type; a reader that
+    # (as json.dump writes a non-ASCII one) and a move type, or when blanks
+    # part a run's last object from its closing bracket; a reader that
     # always gave up on the blocks would pass every equality test
     calls = []
     for name in ("read_text", "decode_json"):
@@ -386,7 +389,7 @@ def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, f
     doc = _long_trace(10**4)
     if escaped:
         doc["alpha"][0] = {"id": "caf\u00e9", "h": [1]}
-    text = json.dumps({first: doc[first], **doc})
+    text = json.dumps({first: doc[first], **doc}, indent=indent)
     if escaped:
         text = text.replace('"twist"', '"\\u0074wist"')
         assert "caf\\u00e9" in text

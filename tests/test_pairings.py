@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -26,6 +26,7 @@ from oracles import (
 )
 from skeinmod import cli
 from skeinmod.errors import DimensionError
+from skeinmod.lattice import ExponentLattice
 from skeinmod.manifold import (
     ClassLabel,
     HomologyClass1,
@@ -742,3 +743,41 @@ def test_reduced_is_the_raw_pair_modulo_twice_gamma_prime(case, data):
     difference = [w - v for w, v in zip(first["raw"], second["raw"])]
     same = first["reduced"] == second["reduced"]
     assert same == member_by_invariants(doubled, difference), (first, second)
+
+
+@st.composite
+def model_refs_and_moves(draw):
+    """model_and_refs, with a valid trace over its link class."""
+    doc, M, refs = draw(model_and_refs())
+    return doc, M, refs, draw(valid_moves(len(refs), M.h2_rank))
+
+
+def _coordinate_case(name, hs, moves):
+    M = cli.resolve_manifold(name)
+    return model_to_document(M), M, [class_to_entry(ClassLabel.coordinate(h)) for h in hs], moves
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_refs_and_moves())
+# Gamma' of rank 0, of rank 1 with e2 < 0 (Z(1, -1)) and of rank 2 ((2, 1, 3))
+@example(_coordinate_case("S2xS1", [(0,)], [{"type": "twist", "i": 1, "s": -1}] * 3
+                          + [{"type": "slide", "i": 1, "t": [2]}]))
+@example(_coordinate_case("S2xS1", [(1,), (-1,)], [{"type": "twist", "i": 1, "s": -1}] * 3
+                          + [{"type": "slide", "i": 2, "t": [-3]}]))
+@example(_coordinate_case("S2xS1", [(1,), (2,)], [{"type": "twist", "i": 2, "s": -1}] * 3
+                          + [{"type": "slide", "i": 1, "t": [5]},
+                             {"type": "mixed_cross", "i": 1, "j": 2, "s": 1}]))
+def test_reduced_lies_in_the_box_of_twice_gamma_prime(case):
+    # the S' representative is its own reduction modulo 2 Gamma', with its
+    # second coordinate in [0, 2|e2|) and its first in [0, 2 e3)
+    doc, M, refs, moves = case
+    e1, e2, e3 = gamma_prime(M, alpha_from_refs(refs, M)).canon
+    event(f"rank {(e2 != 0) + (e3 != 0)}")
+    event(f"e2 {'<' if e2 < 0 else '=' if e2 == 0 else '>'} 0")
+    with tempfile.TemporaryDirectory() as tmp:
+        x, y = _reduced(tmp, doc, {"alpha": refs, "moves": moves})["reduced"]
+    assert ExponentLattice(((2 * e1, 2 * e2), (2 * e3, 0))).reduce((x, y)) == (x, y)
+    if e2 != 0:
+        assert 0 <= y < 2 * abs(e2), (x, y)
+    if e3 > 0:
+        assert 0 <= x < 2 * e3, (x, y)
