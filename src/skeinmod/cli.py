@@ -1,11 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, rendering and writing.
 
-Six verbs: decompose, index, reduce, freeness, specialize, table. Output
-is line-oriented plain text (or one JSON object with --json) and is
-byte-identical for identical inputs. Every error exits nonzero with a
-single line "error:<category>:<message>"; parse and usage problems exit
-with code 2, dimension mismatches with code 3, a failed write to stdout
-with code 74.
+Six verbs: decompose, index, reduce, freeness, specialize, table; skein
+reads reduce's trace. Output is line-oriented plain text (or one JSON
+object with --json) and is byte-identical for identical inputs. Every
+error exits nonzero with a single line "error:<category>:<message>"; parse
+and usage problems exit with code 2, dimension mismatches with code 3, a
+failed write to stdout with code 74.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 from collections.abc import Iterable
-from contextlib import ExitStack
 from functools import lru_cache
 from math import gcd
 from operator import add, attrgetter
@@ -31,7 +29,6 @@ from .manifold import (
     ClassLabel,
     ManifoldModel,
     _dot,
-    _has_lone_surrogate,
     _vec_str,
     builtin,
     class_from_entry,
@@ -40,7 +37,6 @@ from .manifold import (
     int_digit_limit,
     integer,
     load_model,
-    opened,
     read_text,
 )
 from .skein import (
@@ -50,10 +46,9 @@ from .skein import (
     LinkIndex,
     _check_class,
     _freeness_generators,
-    _trace_checker,
+    _read_trace,
     alpha_from_refs,
     class_pairings,
-    evaluate_trace_document,
     is_free,
     link_index,
 )
@@ -340,195 +335,9 @@ def cmd_decompose(args) -> Iterable[str]:
     )
 
 
-# the bytes reduce reads a trace in at a time
-_READ_BLOCK = 1 << 16
-_BLANK = json.decoder.WHITESPACE  # the blanks json skips between tokens
-# a move array's last run ends at the first "}" that blanks and "]" follow
-_LAST_RUN_END = re.compile(r"\}[ \t\n\r]*\]")
-# what parts two objects of a run
-_SEPARATOR = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
-
-
-class _GiveUp(ValueError):
-    """The block reader met text that it leaves to the whole-text decode."""
-
-
-class _Blocks:
-    """The text of a binary file, read on as needed: text[pos:] is read and
-    not yet taken."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.decode = codecs.getincrementaldecoder("utf-8")().decode
-        self.text, self.pos, self.eof = "", 0, False
-
-    def more(self) -> None:
-        """Read a block, or as many bytes as are not yet taken if more, so a
-        value that outruns the blocks is decoded O(log) times over."""
-        if self.eof:
-            raise _GiveUp
-        raw = self.fh.read(max(_READ_BLOCK, len(self.text) - self.pos))
-        self.eof = not raw
-        self.text = self.text[self.pos:] + self.decode(raw, self.eof)
-        self.pos = 0
-
-    def peek(self) -> str:
-        """The character after the blanks at pos, which pos moves to; "" at the
-        end of the file."""
-        while True:
-            self.pos = _BLANK.match(self.text, self.pos).end()
-            if self.pos < len(self.text) or self.eof:
-                return self.text[self.pos:self.pos + 1]
-            self.more()
-
-    def expect(self, mark: str) -> None:
-        if self.peek() != mark:
-            raise _GiveUp
-        self.pos += 1
-
-    def value(self):
-        """The JSON value after the blanks at pos, read on until it ends; one
-        that holds a lone surrogate, which only a \\u escape gives, gives up."""
-        self.peek()
-        decoder = json.JSONDecoder()
-        while True:
-            try:
-                value, end = decoder.raw_decode(self.text, self.pos)
-                break
-            except (ValueError, RecursionError):
-                self.more()
-        if _has_lone_surrogate(value):
-            raise _GiveUp
-        self.pos = end
-        return value
-
-    def run_end(self) -> int:
-        """Where the run of move objects at pos ends: past the first "}" that
-        blanks and "]" follow, else past the last that blanks and "," follow.
-        Such a cut is structural exactly when the run decodes: a "}" in a
-        string leaves the string open, and one in a nested value leaves it
-        unclosed."""
-        while True:
-            last = _LAST_RUN_END.search(self.text, self.pos)
-            if last:
-                return last.start() + 1
-            brace = len(self.text)
-            while (brace := self.text.rfind("}", self.pos, brace)) >= 0:
-                if self.text.startswith(",", _BLANK.match(self.text, brace + 1).end()):
-                    return brace + 1
-            self.more()
-
-    def tally(self, check, add, fold) -> None:
-        """Tally the move array at pos with add, one run of objects at a
-        time, each of which check, as json's object_hook, must take for a
-        token; fold is called after each run. A token holds only its type's
-        keys, a type name and ints, so no lone surrogate."""
-        decode = json.JSONDecoder(object_hook=check).decode
-        self.expect("[")
-        if self.peek() == "]":
-            self.pos += 1
-            return
-        mark = ","
-        while mark == ",":
-            self.peek()  # the run starts past the blanks
-            end = self.run_end()
-            for token, k in _run_tokens(self.text[self.pos:end], decode):
-                add(token, k)
-            fold()
-            self.pos = end
-            mark = self.peek()  # "," or "]", as run_end found
-            self.pos += 1
-
-
-def _run_tokens(run: str, decode):
-    """(token, count) pairs for run, a run of JSON objects parted by commas
-    that ends in "}": decode's token for each object, a distinct one with the
-    number of objects of its text. _GiveUp when an object is no token.
-
-    The run is split at its separator, the text from its first "}" to the
-    next "{", and its distinct texts are decoded once, joined in braces. If
-    the join holds no brace but those it puts in and decodes to one token per
-    text, no brace of the join sits in a string, so the k-th object is the
-    k-th text in braces; the run, those texts in braces parted by its
-    separator, then decodes to the same objects. Else the run is decoded
-    whole."""
-    first = run.find("}")
-    following = run.find("{", first)
-    # with no "{" past its first "}", the run holds no "},{" to split at
-    separator = run[first:following + 1] if following >= 0 else "},{"
-    if run.startswith("{") and _SEPARATOR.fullmatch(separator):
-        counts = Counter(run[1:-1].split(separator))
-        joined = "[{" + "},{".join(counts) + "}]"
-        if joined.count("{") == len(counts) == joined.count("}"):
-            try:
-                tokens = decode(joined)
-            except (ValueError, RecursionError):
-                tokens = ()
-            if len(tokens) == len(counts) and all(type(t) is tuple for t in tokens):
-                return zip(tokens, counts.values())
-    tokens = decode("[" + run + "]")
-    if not all(type(t) is tuple for t in tokens):
-        raise _GiveUp
-    return zip(tokens, itertools.repeat(1))
-
-
-def _streamed_trace(fh, M: ManifoldModel):
-    """(alpha, raw, element) of the trace document in the binary file fh, as
-    trace_from_document and trace_evaluate give them, read in blocks: its keys
-    in any order, alpha decoded whole and moves one run of objects at a time,
-    each run's distinct move texts tallied once with their counts and its
-    slide vectors folded into one sum per component. A repeated key keeps its
-    last value, as json does. None when the text is not such a trace, or
-    holds what json reads only from the whole text: a fault, also in a value
-    a repeated key drops, a lone surrogate, an int past 4300 digits or bytes
-    that are not UTF-8."""
-    tallied = _trace_checker(M.h2_rank)[3]  # of a trace with no moves
-    src = _Blocks(fh)
-    doc = {}
-    try:
-        with int_digit_limit(4300):
-            src.expect("{")
-            mark = ","
-            while mark == ",":
-                key = src.value()
-                if key not in ("alpha", "moves"):
-                    raise _GiveUp
-                src.expect(":")
-                if key == "alpha":
-                    doc["alpha"] = src.value()
-                else:
-                    # a fresh tally, as a later moves drops this one
-                    check, add, fold, tallied = _trace_checker(M.h2_rank)
-                    src.tally(check, add, fold)
-                mark = src.peek()
-                src.pos += 1
-            if mark != "}" or src.peek():
-                raise _GiveUp
-    except (ValueError, RecursionError):  # a UnicodeDecodeError is a ValueError
-        return None
-    return tallied(doc, M)
-
-
 def cmd_reduce(args) -> list[str]:
     M = resolve_manifold(args.manifold)
-    # one open of the file, so --trace /dev/stdin works. A trace the block
-    # reader gives up on is read again from offset 0 and parsed whole; a pipe
-    # cannot be read again, so it is copied to a temporary file first
-    with ExitStack() as stack:
-        fh = stack.enter_context(opened(args.trace, "trace"))
-        if not fh.seekable():
-            import shutil
-            import tempfile
-
-            pipe, fh = fh, stack.enter_context(tempfile.TemporaryFile())
-            shutil.copyfileobj(pipe, fh)
-            fh.seek(0)
-        done = _streamed_trace(fh, M)
-        if done is None:
-            fh.seek(0)
-            doc = decode_json(read_text(args.trace, "trace", fh), args.trace, "trace")
-            done = evaluate_trace_document(doc, M)
-    alpha, raw, element = done
+    alpha, raw, element = _read_trace(args.trace, M)
     if args.module != "sprime":
         element = element.specialize(args.module)
     exponents = next(iter(element.terms[alpha].terms))

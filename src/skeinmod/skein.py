@@ -5,12 +5,19 @@ pairings; its canonical triple drives everything else: the relation ideal
 of alpha's cyclic summand in each of the four modules, the reduction of
 trace exponents, annihilators, and freeness certificates. Skein elements
 are finitely supported sums coeff * [x_alpha] with coefficients stored
-reduced modulo the relation ideal of their class.
+reduced modulo the relation ideal of their class. Trace documents are
+parsed here, and read in blocks for reduce, with the parser as fallback.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import codecs
+import json
+import re
+from collections import Counter, defaultdict
+from contextlib import ExitStack
+from functools import partial
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple, Union, get_args
 
@@ -31,11 +38,16 @@ from .manifold import (
     _INT_TYPE,
     _check_vector,
     _dot,
+    _has_lone_surrogate,
     _is_int,
     _unit,
     class_from_entry,
+    decode_json,
+    int_digit_limit,
     integer,
+    opened,
     read_json,
+    read_text,
 )
 from .value import Value
 
@@ -748,80 +760,6 @@ def trace_from_document(doc, M: ManifoldModel) -> MoveTrace:
     return MoveTrace(alpha, tuple(moves))
 
 
-def _trace_checker(h2_rank: int):
-    """(check, add, fold, tallied) for a model of h2_rank. check(entry) is a
-    token for a well-formed move object, else the entry unchanged; a token is
-    a tuple, which json never builds. check never raises and tallies nothing,
-    so json can call it as object_hook and no move is held. add(token, k)
-    tallies the move k times. The tally holds each sign-move type's sign sum,
-    each component index's slide vectors (by reference) and the indices
-    seen. fold() sums each index's slide vectors into one, so the tally of a
-    trace read in runs holds one vector per index.
-
-    tallied(doc, M) is (alpha, raw, element) of trace document doc, as
-    trace_from_document and trace_evaluate give them, when the tallied moves
-    are doc's moves objects; None when doc has a parse problem or the tally
-    an index that names no component of doc's alpha.
-    """
-    signs = _empty_tally(0)[0]
-    slid = defaultdict(list)  # component index -> the vectors it slid along
-    seen = set()
-
-    def check(entry):
-        # the rules of _parse_move and _check_move, with exact ints; tallied
-        # checks the component indices against alpha. A token is (type, i,
-        # j, s) of a sign move, j = i but for a mixed crossing, or (type, i,
-        # i, t) of a slide
-        kind, i = entry.get("type"), entry.get("i")
-        if type(kind) is not str or type(i) is not int:
-            return entry
-        if kind == "slide":
-            t = entry.get("t")
-            if len(entry) != 3 or type(t) is not list or len(t) != h2_rank:
-                return entry
-            if not _INT_TYPE.issuperset(map(type, t)):
-                return entry
-            return kind, i, i, t
-        j = i
-        if kind == "mixed_cross":
-            j = entry.get("j")
-            if len(entry) != 4 or type(j) is not int or j == i:
-                return entry
-        elif len(entry) != 3 or (kind != "twist" and kind != "self_cross"):
-            return entry
-        s = entry.get("s")
-        if type(s) is not int or (s != 1 and s != -1):
-            return entry
-        return kind, i, j, s
-
-    def add(token, k=1):
-        kind, i, j, value = token
-        if kind == "slide":
-            slid[i].append(value if k == 1 else [k * x for x in value])
-        else:
-            signs[kind] += k * value
-            seen.add(j)
-        seen.add(i)
-
-    def fold():
-        # _tally_writhe is linear in each component's slide vectors
-        for i, ts in slid.items():
-            if len(ts) > 1:
-                slid[i] = [[sum(col) for col in zip(*ts)]]
-
-    def tallied(doc, M: ManifoldModel):
-        problems: list[str] = []
-        alpha, _ = _trace_parts(doc, M, problems)
-        r = alpha.size
-        if problems or seen and (min(seen) < 1 or max(seen) > r):
-            return None
-        vectors = [slid.get(k, ()) for k in range(1, r + 1)]
-        w = _tally_writhe(_slide_vectors(M, alpha), signs, vectors)
-        return (alpha, *_trace_result(M, alpha, w))
-
-    return check, add, fold, tallied
-
-
 def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
     """The trace's alpha and trace_evaluate(M, trace_from_document(doc, M))."""
     tr = trace_from_document(doc, M)
@@ -830,3 +768,241 @@ def evaluate_trace_document(doc, M: ManifoldModel) -> tuple[LinkClass, WrithePai
 
 def load_trace(path: str, M: ManifoldModel) -> MoveTrace:
     return trace_from_document(read_json(path, "trace"), M)
+
+
+def _move_token(h2_rank: int, entry):
+    """A token for a well-formed move object, by the rules of _parse_move and
+    _check_move with exact ints, else entry unchanged; the component indices
+    are checked against alpha later. A token, a tuple, which json never
+    builds, is (type, i, j, s) of a sign move, j = i but for a mixed crossing,
+    or (type, i, i, t) of a slide. It never raises and tallies nothing, so
+    json can call it as object_hook and no move is held; h2_rank comes first
+    so that partial binds it positionally, which is the cheaper call."""
+    kind, i = entry.get("type"), entry.get("i")
+    if type(kind) is not str or type(i) is not int:
+        return entry
+    if kind == "slide":
+        t = entry.get("t")
+        if len(entry) != 3 or type(t) is not list or len(t) != h2_rank:
+            return entry
+        if not _INT_TYPE.issuperset(map(type, t)):
+            return entry
+        return kind, i, i, t
+    j = i
+    if kind == "mixed_cross":
+        j = entry.get("j")
+        if len(entry) != 4 or type(j) is not int or j == i:
+            return entry
+    elif len(entry) != 3 or (kind != "twist" and kind != "self_cross"):
+        return entry
+    s = entry.get("s")
+    if type(s) is not int or (s != 1 and s != -1):
+        return entry
+    return kind, i, j, s
+
+
+# the bytes a trace is read in at a time
+_READ_BLOCK = 1 << 16
+_BLANK = json.decoder.WHITESPACE  # the blanks json skips between tokens
+# a move array's last run ends at the first "}" that blanks and "]" follow
+_LAST_RUN_END = re.compile(r"\}[ \t\n\r]*\]")
+# what parts two objects of a run
+_SEPARATOR = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+
+
+class _GiveUp(ValueError):
+    """The block reader met text that it leaves to the whole-text decode."""
+
+
+class _Blocks:
+    """The text of a binary file, read on as needed: text[pos:] is read and
+    not yet taken."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.text, self.pos, self.eof = "", 0, False
+
+    def more(self) -> None:
+        """Read a block, or as many bytes as are not yet taken if more, so a
+        value that outruns the blocks is decoded O(log) times over."""
+        if self.eof:
+            raise _GiveUp
+        raw = self.fh.read(max(_READ_BLOCK, len(self.text) - self.pos))
+        self.eof = not raw
+        self.text = self.text[self.pos:] + self.decode(raw, self.eof)
+        self.pos = 0
+
+    def peek(self) -> str:
+        """The character after the blanks at pos, which pos moves to; "" at the
+        end of the file."""
+        while True:
+            self.pos = _BLANK.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self.more()
+
+    def expect(self, mark: str) -> None:
+        if self.peek() != mark:
+            raise _GiveUp
+        self.pos += 1
+
+    def value(self):
+        """The JSON value after the blanks at pos, read on until it ends; one
+        that holds a lone surrogate, which only a \\u escape gives, gives up."""
+        self.peek()
+        decoder = json.JSONDecoder()
+        while True:
+            try:
+                value, end = decoder.raw_decode(self.text, self.pos)
+                break
+            except (ValueError, RecursionError):
+                self.more()
+        if _has_lone_surrogate(value):
+            raise _GiveUp
+        self.pos = end
+        return value
+
+    def run_end(self) -> int:
+        """Where the run of move objects at pos ends: past the first "}" that
+        blanks and "]" follow, else past the last that blanks and "," follow.
+        Such a cut is structural exactly when the run decodes: a "}" in a
+        string leaves the string open, and one in a nested value leaves it
+        unclosed."""
+        while True:
+            last = _LAST_RUN_END.search(self.text, self.pos)
+            if last:
+                return last.start() + 1
+            brace = len(self.text)
+            while (brace := self.text.rfind("}", self.pos, brace)) >= 0:
+                if self.text.startswith(",", _BLANK.match(self.text, brace + 1).end()):
+                    return brace + 1
+            self.more()
+
+    def runs(self):
+        """The texts of the runs of objects of the move array at pos, in
+        order, each taken once the next is asked for."""
+        self.expect("[")
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        mark = ","
+        while mark == ",":
+            self.peek()  # the run starts past the blanks
+            end = self.run_end()
+            yield self.text[self.pos:end]
+            self.pos = end
+            mark = self.peek()  # "," or "]", as run_end found
+            self.pos += 1
+
+
+def _run_tokens(run: str, decode):
+    """(token, count) pairs for run, a run of JSON objects parted by commas
+    that ends in "}": decode's token for each object, a distinct one with the
+    number of objects of its text. _GiveUp when an object is no token.
+
+    The run is split at its separator, the text from its first "}" to the
+    next "{", and its distinct texts are decoded once, joined in braces. If
+    the join holds no brace but those it puts in and decodes to one token per
+    text, no brace of the join sits in a string, so the k-th object is the
+    k-th text in braces; the run, those texts in braces parted by its
+    separator, then decodes to the same objects. Else the run is decoded
+    whole."""
+    first = run.find("}")
+    following = run.find("{", first)
+    # with no "{" past its first "}", the run holds no "},{" to split at
+    separator = run[first:following + 1] if following >= 0 else "},{"
+    if run.startswith("{") and _SEPARATOR.fullmatch(separator):
+        counts = Counter(run[1:-1].split(separator))
+        joined = "[{" + "},{".join(counts) + "}]"
+        if joined.count("{") == len(counts) == joined.count("}"):
+            try:
+                tokens = decode(joined)
+            except (ValueError, RecursionError):
+                tokens = ()
+            if len(tokens) == len(counts) and all(type(t) is tuple for t in tokens):
+                return zip(tokens, counts.values())
+    tokens = decode("[" + run + "]")
+    if not all(type(t) is tuple for t in tokens):
+        raise _GiveUp
+    return zip(tokens, repeat(1))
+
+
+def _streamed_trace(fh, M: ManifoldModel):
+    """(alpha, raw, element) of the trace document in the binary file fh, as
+    evaluate_trace_document gives them, read in blocks: its keys in any
+    order, alpha decoded whole and moves one run of objects at a time, each
+    run's distinct move texts tallied once with their counts (each sign-move
+    type's sign sum, each index's slide vectors, the indices seen) and its
+    slide vectors then folded into one sum per component. A repeated key
+    keeps its last value, as json does. None when the text is not such a
+    trace, holds what json reads only from the whole text (a fault, also in
+    a value a repeated key drops, a lone surrogate, an int past 4300 digits
+    or bytes that are not UTF-8), or names a component index alpha lacks."""
+    decode = json.JSONDecoder(object_hook=partial(_move_token, M.h2_rank)).decode
+    src = _Blocks(fh)
+    doc = {}
+    signs, slid, seen = _empty_tally(0)[0], {}, set()  # of a trace with no moves
+    try:
+        with int_digit_limit(4300):
+            src.expect("{")
+            mark = ","
+            while mark == ",":
+                key = src.value()
+                if key not in ("alpha", "moves"):
+                    raise _GiveUp
+                src.expect(":")
+                if key == "alpha":
+                    doc["alpha"] = src.value()
+                else:
+                    # a fresh tally, as a later moves drops this one
+                    signs, slid, seen = _empty_tally(0)[0], defaultdict(list), set()
+                    for run in src.runs():
+                        for (kind, i, j, value), k in _run_tokens(run, decode):
+                            if kind == "slide":
+                                slid[i].append(value if k == 1 else [k * x for x in value])
+                            else:
+                                signs[kind] += k * value
+                                seen.add(j)
+                            seen.add(i)
+                        # _tally_writhe is linear in each component's slide vectors
+                        for i in slid:
+                            if len(slid[i]) > 1:
+                                slid[i] = [[sum(col) for col in zip(*slid[i])]]
+                        del run  # nothing of a run is held while the next block is read
+                mark = src.peek()
+                src.pos += 1
+            if mark != "}" or src.peek():
+                raise _GiveUp
+    except (ValueError, RecursionError):  # a UnicodeDecodeError is a ValueError
+        return None
+    problems: list[str] = []
+    alpha, _ = _trace_parts(doc, M, problems)
+    r = alpha.size
+    if problems or seen and (min(seen) < 1 or max(seen) > r):
+        return None
+    vectors = [slid.get(k, ()) for k in range(1, r + 1)]
+    w = _tally_writhe(_slide_vectors(M, alpha), signs, vectors)
+    return (alpha, *_trace_result(M, alpha, w))
+
+
+def _read_trace(path: str, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
+    """evaluate_trace_document of the trace document at path, read by
+    _streamed_trace. The file is opened once, so /dev/stdin works: a pipe is
+    first copied to a temporary file, so that a trace the block reader gives
+    up on can be read again from offset 0 and parsed whole."""
+    with ExitStack() as stack:
+        fh = stack.enter_context(opened(path, "trace"))
+        if not fh.seekable():
+            import shutil
+            import tempfile
+
+            pipe, fh = fh, stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(pipe, fh)
+            fh.seek(0)
+        done = _streamed_trace(fh, M)
+        if done is None:
+            fh.seek(0)
+            doc = decode_json(read_text(path, "trace", fh), path, "trace")
+            done = evaluate_trace_document(doc, M)
+    return done

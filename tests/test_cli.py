@@ -328,15 +328,20 @@ def test_reduce_reads_stdin_as_it_reads_a_file(tmp_path, name):
 def test_a_whole_text_read_leaves_no_unclosed_file(tmp_path):
     # read_text wraps the open file to decode it and must not leave the
     # wrapper to the garbage collector, which -X dev reports as an unclosed
-    # file beside the one error line
+    # file beside the one error line; so would the temporary file a piped
+    # trace is copied to
     trace = tmp_path / "trace.json"
     trace.write_bytes(STDIN_TRACES["index_past_r"])
     alphas = tmp_path / "alphas.json"
     alphas.write_text('[[{"id": "ghost"}]]', encoding="utf-8")
-    for verb, flag, path in (("reduce", "--trace", trace), ("table", "--alphas", alphas)):
+    for verb, flag, path, data in (
+        ("reduce", "--trace", trace, None),
+        ("table", "--alphas", alphas, None),
+        ("reduce", "--trace", "/dev/stdin", STDIN_TRACES["index_past_r"].decode()),
+    ):
         res = subprocess.run([sys.executable, "-X", "dev", "-m", "skeinmod", verb, "--manifold",
-                              "S2xS1", flag, str(path)], capture_output=True, text=True,
-                             timeout=120)
+                              "S2xS1", flag, str(path)], input=data, capture_output=True,
+                             text=True, timeout=120)
         assert res.returncode in (2, 3) and len(res.stderr.splitlines()) == 1, res.stderr
 
 

@@ -327,11 +327,11 @@ def _parse_then_evaluate_lines(path, M):
 @example(case=("T3", json.dumps({"alpha": [{"id": "1,0,0"}, {"id": "0,1,-1"}], "moves": [
     {"type": "slide", "i": 2, "t": [1, -2, 3]}, {"type": "mixed_cross", "i": 2, "j": 1, "s": -1},
 ] * 2 + [{"type": "slide", "i": 2, "t": [1, -2, 3]}]}, indent=2)))
-@pytest.mark.parametrize("block", [1, 7, 64, cli._READ_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 64, skein._READ_BLOCK])
 def test_reduce_gives_what_parse_then_evaluate_gives(block, case):
     name, text = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_READ_BLOCK", block)
+        mp.setattr(skein, "_READ_BLOCK", block)
         path = str(Path(tmp) / "trace.json")
         Path(path).write_text(text, encoding="utf-8")
         expected = _parse_then_evaluate_lines(path, REDUCE_MODELS[name])
@@ -342,11 +342,8 @@ def test_reduce_gives_what_parse_then_evaluate_gives(block, case):
 def test_a_decode_that_fails_only_with_the_checker_falls_back(monkeypatch, tmp_path):
     # calling the checker from the decoder adds a frame, so a document nested
     # near the recursion limit can fail with it and not without it
-    def checker(h2_rank):
-        def check(entry):
-            raise RecursionError("maximum recursion depth exceeded")
-
-        return (check, *skein._trace_checker(h2_rank)[1:])
+    def checker(h2_rank, entry):
+        raise RecursionError("maximum recursion depth exceeded")
 
     path = tmp_path / "trace.json"
     path.write_text(json.dumps({
@@ -356,7 +353,7 @@ def test_a_decode_that_fails_only_with_the_checker_falls_back(monkeypatch, tmp_p
     argv = ["reduce", "--manifold", "S2xS1", "--trace", str(path)]
     expected = _call(argv)
     assert expected[0] == 0
-    monkeypatch.setattr(cli, "_trace_checker", checker)
+    monkeypatch.setattr(skein, "_move_token", checker)
     assert _call(argv) == expected
 
 
@@ -381,11 +378,11 @@ def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, f
     # always gave up on the blocks would pass every equality test
     calls = []
     for name in ("read_text", "decode_json"):
-        def spy(*args, real=getattr(cli, name), name=name):
+        def spy(*args, real=getattr(skein, name), name=name):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(cli, name, spy)
+        monkeypatch.setattr(skein, name, spy)
     doc = _long_trace(10**4)
     if escaped:
         doc["alpha"][0] = {"id": "caf\u00e9", "h": [1]}
@@ -413,21 +410,16 @@ def test_a_run_decodes_each_distinct_move_text_once(monkeypatch, tmp_path, dump)
     # would pass every equality test
     checks, runs = [], []
 
-    def checker(h2_rank):
-        check, *rest = skein._trace_checker(h2_rank)
+    def counted(h2_rank, entry, real=skein._move_token):
+        checks.append(None)
+        return real(h2_rank, entry)
 
-        def counted(entry):
-            checks.append(None)
-            return check(entry)
-
-        return (counted, *rest)
-
-    def run_end(self, real=cli._Blocks.run_end):
+    def run_end(self, real=skein._Blocks.run_end):
         runs.append(None)
         return real(self)
 
-    monkeypatch.setattr(cli, "_trace_checker", checker)
-    monkeypatch.setattr(cli._Blocks, "run_end", run_end)
+    monkeypatch.setattr(skein, "_move_token", counted)
+    monkeypatch.setattr(skein._Blocks, "run_end", run_end)
     path = tmp_path / "trace.json"
     path.write_text(json.dumps(_long_trace(10**4), **dump), encoding="utf-8")
     expected = _parse_then_evaluate_lines(str(path), REDUCE_MODELS["S2xS1"])
@@ -471,11 +463,11 @@ def test_a_repeated_key_keeps_its_last_value(monkeypatch, tmp_path, name):
     # read, which gives the same answer
     calls = []
 
-    def spy(*args, real=cli.read_text):
+    def spy(*args, real=skein.read_text):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "read_text", spy)
+    monkeypatch.setattr(skein, "read_text", spy)
     path = tmp_path / "trace.json"
     path.write_text(repeated_key_text(name), encoding="utf-8")
     expected = _parse_then_evaluate_lines(str(path), REDUCE_MODELS["S2xS1"])

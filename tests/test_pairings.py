@@ -685,7 +685,12 @@ def test_the_mirror_image_keeps_indices_and_negates_the_writhe(M, data):
 def model_and_refs(draw):
     """A random model or one of S2xS1, T3, handlebody(2) and the fixture, as a
     document, with the model and up to three class refs: table ids,
-    coordinate classes and inline classes."""
+    coordinate classes and inline classes. About one draw in four is S2xS1
+    with the classes h and -h, whose Gamma' Z(h, -h) has e2 < 0."""
+    if draw(st.integers(0, 3)) == 3:
+        M, h = cli.resolve_manifold("S2xS1"), draw(st.integers(1, 3))
+        refs = [class_to_entry(ClassLabel.coordinate(v)) for v in ((h,), (-h,))]
+        return model_to_document(M), M, refs
     M = draw(st.one_of(models(), st.sampled_from(
         ("S2xS1", "T3", "handlebody(2)", str(FIXTURE_MANIFOLD))
     ).map(cli.resolve_manifold)))

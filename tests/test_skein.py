@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import literal_pairing, member_by_invariants
-from skeinmod import cli
+from skeinmod import cli, skein
 from skeinmod.errors import DimensionError, ParseError
 from skeinmod.laurent import LaurentPoly1, LaurentPoly2
 from skeinmod.manifold import (
@@ -569,7 +569,7 @@ def _parse_then_evaluate(doc, M):
 def _streamed(doc, M):
     """What reduce's block reader makes of doc's JSON text: None when reduce
     falls back to parse-then-evaluate."""
-    return cli._streamed_trace(io.BytesIO(json.dumps(doc).encode()), M)
+    return skein._streamed_trace(io.BytesIO(json.dumps(doc).encode()), M)
 
 
 TWO = [{"id": "1"}, {"id": "2"}]
@@ -685,9 +685,9 @@ def test_tally_equals_parse_then_evaluate_and_literal_sum(case):
     alpha, raw, _element = expected
     assert raw == _literal_writhe(model, alpha, doc["moves"])
     # a block of 7 bytes cuts most moves and big entries; 65,536 is reduce's own
-    for block in (7, cli._READ_BLOCK):
+    for block in (7, skein._READ_BLOCK):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_READ_BLOCK", block)
+            mp.setattr(skein, "_READ_BLOCK", block)
             assert _streamed(doc, model) == expected, block
 
 
