@@ -17,7 +17,6 @@ import re
 from collections import Counter, defaultdict
 from contextlib import ExitStack
 from functools import partial
-from itertools import repeat
 from math import gcd
 from typing import NamedTuple, Union, get_args
 
@@ -555,15 +554,16 @@ def _slide_vectors(M: ManifoldModel, alpha: LinkClass):
     ]
 
 
-def _empty_tally(r: int):
-    """The signs and slid of _tally_writhe before any move of r components."""
-    return {"twist": 0, "self_cross": 0, "mixed_cross": 0}, [[] for _ in range(r)]
+def _empty_tally():
+    """The signs and slid of _tally_writhe before any move."""
+    return {"twist": 0, "self_cross": 0, "mixed_cross": 0}, defaultdict(list)
 
 
 def _tally_writhe(vectors, signs: dict, slid) -> WrithePair:
     """The writhe pair of a tally of checked moves: signs maps each sign-move
-    type to the sum of its signs, slid[i - 1] lists the vectors t that
-    component i slid along, and vectors are the _slide_vectors.
+    type to the sum of its signs, slid maps a component i to the vectors t
+    that it slid along (none when i is no key), and vectors are the
+    _slide_vectors, the i-th of component i.
 
     A twist adds s to w1, a self crossing 2s to w1, a mixed crossing 2s to
     w2, and a slide of component i along t adds twice its pairing with
@@ -572,8 +572,8 @@ def _tally_writhe(vectors, signs: dict, slid) -> WrithePair:
     """
     w1 = signs["twist"] + 2 * signs["self_cross"]
     w2 = 2 * signs["mixed_cross"]
-    for ts, (own, rest) in zip(slid, vectors):
-        total = [sum(col) for col in zip(*ts)]
+    for i, (own, rest) in enumerate(vectors, 1):
+        total = [sum(col) for col in zip(*slid.get(i, ()))]
         w1 += 2 * _dot(total, own)
         w2 += 2 * _dot(total, rest)
     return WrithePair(w1, w2)
@@ -613,11 +613,11 @@ def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinEl
     malformed alpha is reported.
     """
     r = tr.alpha.size
-    signs, slid = _empty_tally(r)
+    signs, slid = _empty_tally()
     for pos, mv in enumerate(tr.moves):
         _check_move(mv, pos, r, M.h2_rank)
         if isinstance(mv, Slide):
-            slid[mv.i - 1].append(mv.t.vec)
+            slid[mv.i].append(mv.t.vec)
         else:
             signs[mv.kind] += mv.s
     return _trace_result(M, tr.alpha, _tally_writhe(_slide_vectors(M, tr.alpha), signs, slid))
@@ -806,8 +806,6 @@ _READ_BLOCK = 1 << 16
 _BLANK = json.decoder.WHITESPACE  # the blanks json skips between tokens
 # a move array's last run ends at the first "}" that blanks and "]" follow
 _LAST_RUN_END = re.compile(r"\}[ \t\n\r]*\]")
-# what parts two objects of a run
-_SEPARATOR = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
 class _GiveUp(ValueError):
@@ -866,9 +864,9 @@ class _Blocks:
     def run_end(self) -> int:
         """Where the run of move objects at pos ends: past the first "}" that
         blanks and "]" follow, else past the last that blanks and "," follow.
-        Such a cut is structural exactly when the run decodes: a "}" in a
-        string leaves the string open, and one in a nested value leaves it
-        unclosed."""
+        The cut is an object's end if the run is JSON, as _run_tokens checks:
+        a "}" in a string leaves the string open, and one in a nested value
+        leaves it unclosed."""
         while True:
             last = _LAST_RUN_END.search(self.text, self.pos)
             if last:
@@ -899,33 +897,27 @@ class _Blocks:
 def _run_tokens(run: str, decode):
     """(token, count) pairs for run, a run of JSON objects parted by commas
     that ends in "}": decode's token for each object, a distinct one with the
-    number of objects of its text. _GiveUp when an object is no token.
+    number of objects of its text; else _GiveUp or decode's error.
 
-    The run is split at its separator, the text from its first "}" to the
-    next "{", and its distinct texts are decoded once, joined in braces. If
-    the join holds no brace but those it puts in and decodes to one token per
-    text, no brace of the join sits in a string, so the k-th object is the
-    k-th text in braces; the run, those texts in braces parted by its
-    separator, then decodes to the same objects. Else the run is decoded
-    whole."""
+    lead, the run's first separator (from its first "}" to the next "{", or
+    "," for one object), is put before the run, which is then cut at each
+    "}", so each text is a separator and an object up to its "}". The
+    distinct texts are decoded once, joined by "}" with lead taken off. If
+    lead is "," with blanks and the join holds one "{" per text and decodes
+    to one token per text, each brace is an object's, so each separator is
+    "," with blanks and the run decodes to its texts' objects. A move with a
+    brace in a string gives up; only a value a repeated key drops holds one."""
     first = run.find("}")
     following = run.find("{", first)
-    # with no "{" past its first "}", the run holds no "},{" to split at
-    separator = run[first:following + 1] if following >= 0 else "},{"
-    if run.startswith("{") and _SEPARATOR.fullmatch(separator):
-        counts = Counter(run[1:-1].split(separator))
-        joined = "[{" + "},{".join(counts) + "}]"
-        if joined.count("{") == len(counts) == joined.count("}"):
-            try:
-                tokens = decode(joined)
-            except (ValueError, RecursionError):
-                tokens = ()
-            if len(tokens) == len(counts) and all(type(t) is tuple for t in tokens):
-                return zip(tokens, counts.values())
-    tokens = decode("[" + run + "]")
-    if not all(type(t) is tuple for t in tokens):
+    lead = run[first + 1:following] if following >= 0 else ","
+    counts = Counter((lead + run).split("}")[:-1])
+    joined = "[" + "}".join(counts)[len(lead):] + "}]"
+    if lead.strip(" \t\n\r") != "," or joined.count("{") != len(counts):
         raise _GiveUp
-    return zip(tokens, repeat(1))
+    tokens = decode(joined)
+    if len(tokens) != len(counts) or not all(type(t) is tuple for t in tokens):
+        raise _GiveUp
+    return zip(tokens, counts.values())
 
 
 def _streamed_trace(fh, M: ManifoldModel):
@@ -942,7 +934,7 @@ def _streamed_trace(fh, M: ManifoldModel):
     decode = json.JSONDecoder(object_hook=partial(_move_token, M.h2_rank)).decode
     src = _Blocks(fh)
     doc = {}
-    signs, slid, seen = _empty_tally(0)[0], {}, set()  # of a trace with no moves
+    (signs, slid), seen = _empty_tally(), set()  # of a trace with no moves
     try:
         with int_digit_limit(4300):
             src.expect("{")
@@ -956,7 +948,7 @@ def _streamed_trace(fh, M: ManifoldModel):
                     doc["alpha"] = src.value()
                 else:
                     # a fresh tally, as a later moves drops this one
-                    signs, slid, seen = _empty_tally(0)[0], defaultdict(list), set()
+                    (signs, slid), seen = _empty_tally(), set()
                     for run in src.runs():
                         for (kind, i, j, value), k in _run_tokens(run, decode):
                             if kind == "slide":
@@ -978,11 +970,9 @@ def _streamed_trace(fh, M: ManifoldModel):
         return None
     problems: list[str] = []
     alpha, _ = _trace_parts(doc, M, problems)
-    r = alpha.size
-    if problems or seen and (min(seen) < 1 or max(seen) > r):
+    if problems or seen and (min(seen) < 1 or max(seen) > alpha.size):
         return None
-    vectors = [slid.get(k, ()) for k in range(1, r + 1)]
-    w = _tally_writhe(_slide_vectors(M, alpha), signs, vectors)
+    w = _tally_writhe(_slide_vectors(M, alpha), signs, slid)
     return (alpha, *_trace_result(M, alpha, w))
 
 

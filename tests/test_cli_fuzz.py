@@ -2,10 +2,12 @@
 or 3, write at most one stderr line, and write nothing to stdout on error."""
 
 import io
+import itertools
 import json
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -320,6 +322,14 @@ def _parse_then_evaluate_lines(path, M):
 @example(case=("S2xS1", '{"alpha": [{"id": "1"}, {"id": "2"}], "moves": [{"type": "slide", "i": 1, '
                         '"t": [2]},{"type": "twist", "i": 2, "s": -1}, {"type": "slide", "i": 1, '
                         '"t": [2]},\n{"type": "twist", "i": 2, "s": -1}]}'))
+# two equal twists parted by ",,", by nothing and by " ,": the first two are no
+# JSON, though a cut at each "}" reads two twists from either
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 1, "s": 1},,'
+                        '{"type": "twist", "i": 1, "s": 1}]}'))
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 1, "s": 1}'
+                        '{"type": "twist", "i": 1, "s": 1}]}'))
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 1, "s": 1} ,'
+                        '{"type": "twist", "i": 1, "s": 1}]}'))
 # a run of one object, a slide and a move past r
 @example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "slide", "i": 1, "t": [3]}]}'))
 @example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "twist", "i": 2, "s": 1}]}'))
@@ -402,12 +412,23 @@ def test_a_valid_trace_file_is_read_in_blocks_not_whole(monkeypatch, tmp_path, f
     assert calls == ["read_text", "decode_json"]
 
 
-@pytest.mark.parametrize("dump", [{}, {"separators": (",", ":")}, {"indent": 2}],
-                         ids=["default", "compact", "indent"])
-def test_a_run_decodes_each_distinct_move_text_once(monkeypatch, tmp_path, dump):
-    # _long_trace's 10^4 moves have 5 texts, so each run of objects calls
-    # check at most 5 times; a reader that fell back to decoding every move
-    # would pass every equality test
+def _mixed_dumps(doc):
+    """The JSON text of a trace whose moves are parted by ",", ", " and ",\n"
+    in turn."""
+    seps = itertools.cycle([",", ", ", ",\n"])
+    moves = "".join(next(seps) + json.dumps(mv) for mv in doc["moves"])[1:]
+    return '{"alpha": %s, "moves": [%s]}' % (json.dumps(doc["alpha"]), moves)
+
+
+@pytest.mark.parametrize(("dump", "texts"), [
+    (json.dumps, 5), (partial(json.dumps, separators=(",", ":")), 5),
+    (partial(json.dumps, indent=2), 5), (_mixed_dumps, 15),
+], ids=["default", "compact", "indent", "mixed"])
+def test_a_run_decodes_each_distinct_move_text_once(monkeypatch, tmp_path, dump, texts):
+    # _long_trace's 10^4 moves have 5 texts, 15 with a separator of three
+    # spellings before each, so each run of objects calls check at most that
+    # many times; a reader that fell back to decoding every move would pass
+    # every equality test
     checks, runs = [], []
 
     def counted(h2_rank, entry, real=skein._move_token):
@@ -421,11 +442,11 @@ def test_a_run_decodes_each_distinct_move_text_once(monkeypatch, tmp_path, dump)
     monkeypatch.setattr(skein, "_move_token", counted)
     monkeypatch.setattr(skein._Blocks, "run_end", run_end)
     path = tmp_path / "trace.json"
-    path.write_text(json.dumps(_long_trace(10**4), **dump), encoding="utf-8")
+    path.write_text(dump(_long_trace(10**4)), encoding="utf-8")
     expected = _parse_then_evaluate_lines(str(path), REDUCE_MODELS["S2xS1"])
     code, out, err = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])
     assert (code, out.decode().splitlines(), err) == expected and expected[0] == 0
-    assert 0 < len(checks) <= 5 * len(runs) < 10**3, (len(checks), len(runs))
+    assert 0 < len(checks) <= texts * len(runs) < 10**3, (len(checks), len(runs))
 
 
 # trace texts whose top-level keys repeat, where json keeps each key's last
@@ -476,21 +497,29 @@ def test_a_repeated_key_keeps_its_last_value(monkeypatch, tmp_path, name):
     assert len(calls) == ("faulty" in name)
 
 
+def _distinct_slides(n):
+    """A well-formed S2xS1 trace of n slides on two components, no two alike."""
+    moves = [{"type": "slide", "i": k % 2 + 1, "t": [k]} for k in range(n)]
+    return {"alpha": [{"id": "1"}, {"id": "2"}], "moves": moves}
+
+
 def test_reduce_memory_does_not_follow_the_trace_length(tmp_path):
     # the reader holds one block, alpha and one slide sum per component, so
-    # ten times the moves may not raise the traced peak by a megabyte
-    peaks = []
-    for n in (10**4, 10**5):
-        path = tmp_path / f"trace{n}.json"
-        path.write_text(json.dumps(_long_trace(n)), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            code = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])[0]
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+    # ten times the moves may not raise the traced peak by a megabyte; with
+    # no two slides alike, only the sum after each run keeps the vectors few
+    for trace in (_long_trace, _distinct_slides):
+        peaks = []
+        for n in (10**4, 10**5):
+            path = tmp_path / f"{trace.__name__}{n}.json"
+            path.write_text(json.dumps(trace(n)), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                code = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert abs(peaks[1] - peaks[0]) < 2**20, (trace.__name__, peaks)
 
 
 # -- table, which resolves each class ref as the decoder builds it ---------------

@@ -263,17 +263,29 @@ def test_decompose_walk_gives_the_literal_index(kept, case):
 
 
 def test_eps_is_the_gcd_of_torus_pairings_with_the_total_class(capsys):
-    # every class has the same torus subgroup here, so eps depends on H alone
+    # when every component takes the default torus list, eps depends on H alone
+    def check(M, alpha):
+        total = [sum(c.h.free[k] for c in alpha.components) for k in range(M.h1_rank)]
+        expected = _gcd_abs(literal_pairing(M.pairing, t.vec, total) for t in M.torus_default)
+        assert link_index(M, alpha).eps == expected, alpha
+
     for M, manifold, bound in (
         (builtin("S2xS1"), "S2xS1", 3),
         (builtin("handlebody", 2), "handlebody(2)", 2),
     ):
         assert not M.torus_exceptions and M.torus_rule is None
         for text, _, _ in _rows(capsys, manifold, bound):
-            alpha = LinkClass.parse(text, M)
-            total = [sum(c.h.free[k] for c in alpha.components) for k in range(M.h1_rank)]
-            expected = _gcd_abs(literal_pairing(M.pairing, t.vec, total) for t in M.torus_default)
-            assert link_index(M, alpha).eps == expected, text
+            check(M, LinkClass.parse(text, M))
+
+    @settings(max_examples=150)
+    @given(model_and_alpha())
+    def on_random_models(case):
+        M, alpha = case
+        keyed = {cid for cid, _ in M.torus_exceptions}
+        assume(M.torus_rule is None and keyed.isdisjoint(c.id for c in alpha.components))
+        check(M, alpha)
+
+    on_random_models()
 
 
 def test_covectors_of_no_generators_build_no_basis():
