@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .value import Value
+
 __all__ = ["ExponentLattice"]
 
 
@@ -55,14 +57,14 @@ def _eliminate(gens: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
     return ua, ud, g
 
 
-class ExponentLattice:
+class ExponentLattice(Value):
     """A subgroup of Z^2 with generators and a canonical (e1, e2, e3) form."""
 
     __slots__ = ("gens", "canon")
 
     def __init__(self, gens=()):
-        self.gens: tuple[tuple[int, int], ...] = tuple(map(tuple, gens))
-        self.canon: tuple[int, int, int] = self._canonicalize()
+        object.__setattr__(self, "gens", tuple(map(tuple, gens)))
+        object.__setattr__(self, "canon", self._canonicalize())
 
     def _canonicalize(self) -> tuple[int, int, int]:
         ua, ud, g = _eliminate(self.gens)

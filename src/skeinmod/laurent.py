@@ -1,8 +1,8 @@
 """Exact one- and two-variable integer Laurent polynomials.
 
-Values are immutable by convention: every operation returns a fresh object
-and the term maps are never mutated after construction. Coefficients are
-plain Python ints, so there is no overflow anywhere.
+Values are immutable: every operation returns a fresh object, the term maps
+are never mutated after construction, and assigning or deleting an attribute
+raises. Coefficients are plain Python ints, so there is no overflow anywhere.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _ring(name, variables):
         def shift(e1, e2):
             return tuple(map(operator.add, e1, e2))
 
-    class Laurent:
+    class Laurent(Value):
         __slots__ = ("terms",)
 
         def __init__(self, terms=None):
@@ -54,7 +54,7 @@ def _ring(name, variables):
                     raise TypeError(f"{name} exponent key must be {shape}, got {e!r}")
                 if type(c) is not int:
                     raise TypeError(f"{name} coefficient must be an int, got {c!r}")
-            self.terms = {e: c for e, c in terms.items() if c != 0}
+            object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c != 0})
 
         @classmethod
         def zero(cls):
@@ -80,12 +80,7 @@ def _ring(name, variables):
         def __bool__(self) -> bool:
             return bool(self.terms)
 
-        def __eq__(self, other) -> bool:
-            if not isinstance(other, Laurent):
-                return NotImplemented
-            return self.terms == other.terms
-
-        __hash__ = None
+        __hash__ = None  # the terms are a dict
 
         def __neg__(self):
             return Laurent({e: -c for e, c in self.terms.items()})

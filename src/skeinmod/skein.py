@@ -416,7 +416,7 @@ def _reduce_coeff(M: ManifoldModel, alpha: LinkClass, tag: str, coeff):
     return LaurentPoly1(acc)
 
 
-class SkeinElement:
+class SkeinElement(Value):
     """A finitely supported sum of coefficients against classes [x_alpha].
 
     Coefficients are reduced on construction modulo each class's relation
@@ -442,9 +442,6 @@ class SkeinElement:
         object.__setattr__(self, "manifold", manifold)
         object.__setattr__(self, "terms", reduced)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SkeinElement is immutable")
-
     @classmethod
     def zero(cls, manifold: ManifoldModel, module_tag: str = "sprime") -> "SkeinElement":
         return cls(module_tag, manifold, {})
@@ -463,16 +460,7 @@ class SkeinElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SkeinElement):
-            return NotImplemented
-        return (
-            self.module_tag == other.module_tag
-            and self.manifold == other.manifold
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
+    __hash__ = None  # the terms are a dict
 
     def __add__(self, other: "SkeinElement") -> "SkeinElement":
         if not isinstance(other, SkeinElement):

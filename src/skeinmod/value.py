@@ -5,7 +5,8 @@ repr as Name(field=value, ...). Assigning or deleting an attribute raises
 AttributeError, and pickle and copy rebuild a value through __init__. A
 subclass names its fields again as __slots__, so its values keep no
 __dict__ and take no weak reference; one that keeps cached properties
-leaves __slots__ out."""
+leaves __slots__ out. A subclass whose fields hold a dict sets
+__hash__ = None, and one that keeps a derived slot may compare by it."""
 
 from operator import attrgetter
 

@@ -102,6 +102,25 @@ def test_json_output_matches_golden_files():
         assert res.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8"), golden
 
 
+def test_goldens_hold_when_each_kept_memo_is_full(monkeypatch, capsys):
+    # with room for one entry, every new key empties a _kept memo first
+    monkeypatch.setattr(cli, "_SINGLES_KEPT", 1)
+    for argv, golden in (
+        (["decompose", "--manifold", "S2xS1", "--bound", "2"], GOLDEN),
+        (
+            ["decompose", "--manifold", "S2xS1", "--bound", "2", "--json"],
+            GOLDEN_DIR / "decompose_s2xs1_b2.json",
+        ),
+        (
+            ["table", "--manifold", str(FIXTURE_MANIFOLD), "--alphas", str(FIXTURE_ALPHAS),
+             "--json"],
+            GOLDEN_DIR / "table_fixture.json",
+        ),
+    ):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8"), golden
+
+
 def test_decompose_is_deterministic():
     a = run("decompose", "--manifold", "S2xS1", "--bound", "2")
     b = run("decompose", "--manifold", "S2xS1", "--bound", "2")

@@ -97,6 +97,9 @@ def test_parse_rejects_malformed_text():
         P1.parse("q1^2 - 1")
     with pytest.raises(ParseError):
         P2.parse("q^2 - 1")
+    with pytest.raises(ParseError) as exc:
+        P2.parse("q1^2^3")
+    assert str(exc.value) == "expected '+' or '-' before '^' in 'q1^2^3'"
 
 
 _coeffs = st.integers(-99, 99).filter(lambda c: c != 0)

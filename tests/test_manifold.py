@@ -167,6 +167,9 @@ def test_model_shape_validation_aggregates():
     msg = str(exc.value)
     assert "pairing has 1 rows" in msg
     assert "sphere_gens[0] has length 3" in msg
+    with pytest.raises(DimensionError) as exc:
+        ManifoldModel("bad", 2, 0, (), classes=(ClassLabel("a", HomologyClass1((1,))),))
+    assert str(exc.value) == "class 'a' h has length 1, expected h1_rank = 2"
 
 
 def test_sweep_rule_needs_rank_three():
@@ -291,6 +294,26 @@ def test_document_aggregates_parse_problems():
         model_from_document(doc)
     msg = str(exc.value)
     assert "'name'" in msg and "h1_rank" in msg and "mystery" in msg
+    doc = {
+        "name": "X",
+        "h1_rank": 1,
+        "h2_rank": 1,
+        "pairing": "rows",
+        "torus_exceptions": [],
+        "torus_rule": "slide",
+        "classes": {},
+        "boundary_note": 5,
+    }
+    with pytest.raises(ParseError) as exc:
+        model_from_document(doc)
+    assert str(exc.value) == (
+        "field 'pairing' must be an array of rows; field 'torus_exceptions' must be an object "
+        "keyed by class id; field 'torus_rule' must be absent or 'sweep', got 'slide'; "
+        "field 'classes' must be an array; field 'boundary_note' must be a string"
+    )
+    with pytest.raises(ParseError) as exc:
+        model_from_document([doc])
+    assert str(exc.value) == "manifold document must be a JSON object"
 
 
 def test_generator_list_faults_keep_their_order():

@@ -211,6 +211,12 @@ def test_element_mismatch_errors():
         x.specialize("sprime")
     with pytest.raises(ParseError):
         x.specialize("s").specialize("w")
+    with pytest.raises(ParseError) as exc:
+        SkeinElement("sprime", M, {alpha_of(1): P1.one()})
+    assert str(exc.value) == "sprime coefficients use the two-variable ring"
+    with pytest.raises(ParseError) as exc:
+        SkeinElement("s", M, {alpha_of(1): P2.one()})
+    assert str(exc.value) == "s coefficients use the one-variable ring"
 
 
 def test_element_is_immutable():
@@ -447,6 +453,7 @@ def test_trace_document_messages_keep_their_order():
             "table); moves[0].t must be an array of integers; moves[1] is missing field 'i'; "
             "moves[1].s must be +1 or -1, got 2",
         ),
+        ({"alpha": [], "moves": {}}, "field 'moves' must be an array"),
     ):
         with pytest.raises(ParseError) as exc:
             trace_from_document(doc, M)
