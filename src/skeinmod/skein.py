@@ -525,46 +525,25 @@ class SkeinElement(Value):
 # -- move traces ---------------------------------------------------------------
 
 
-def _slide_vectors(M: ManifoldModel, alpha: LinkClass):
-    """For each component i, (P h_i, P (H - h_i)) with H the sum of all h_i,
-    so a slide of i along t pairs t with them as dot products. Empty when a
-    component's class has the wrong length: the element build reports it."""
-    n = M.h1_rank
-    if any(len(c.h.free) != n for c in alpha.components):
-        return ()
-    total = [sum(col) for col in zip(*(c.h.free for c in alpha.components))]
-    return [
-        tuple(
-            tuple(_dot(row, h) for row in M.pairing)
-            for h in (c.h.free, [x - y for x, y in zip(total, c.h.free)])
-        )
-        for c in alpha.components
-    ]
-
-
-def _empty_tally():
-    """The signs and slid of _tally_writhe before any move."""
-    return {"twist": 0, "self_cross": 0, "mixed_cross": 0}, defaultdict(list)
-
-
-def _tally_writhe(vectors, signs: dict, slid) -> WrithePair:
-    """The writhe pair of a tally of checked moves: signs maps each sign-move
-    type to the sum of its signs, slid maps a component i to the vectors t
-    that it slid along (none when i is no key), and vectors are the
-    _slide_vectors, the i-th of component i.
-
-    A twist adds s to w1, a self crossing 2s to w1, a mixed crossing 2s to
-    w2, and a slide of component i along t adds twice its pairing with
-    component i to w1 and twice its pairing with the others to w2. Each share
-    is linear, so the slides of i add those of their sum S_i.
-    """
-    w1 = signs["twist"] + 2 * signs["self_cross"]
-    w2 = 2 * signs["mixed_cross"]
-    for i, (own, rest) in enumerate(vectors, 1):
-        total = [sum(col) for col in zip(*slid.get(i, ()))]
-        w1 += 2 * _dot(total, own)
-        w2 += 2 * _dot(total, rest)
-    return WrithePair(w1, w2)
+def _tally(items, tally=None):
+    """Add (token, count) items, tokens as _move_token gives them, to tally,
+    a fresh one if None, and return it: the sum of the signs of each
+    sign-move type, one summed slide vector per component that slid (a
+    one-vector list, folded after each call) and the component indices seen,
+    which are the one thing of a token still to check against alpha."""
+    signs, slid, seen = tally or ({"twist": 0, "self_cross": 0, "mixed_cross": 0},
+                                  defaultdict(list), set())
+    for (kind, i, j, value), k in items:
+        if kind == "slide":
+            slid[i].append(value if k == 1 else [k * x for x in value])
+        else:
+            signs[kind] += k * value
+        seen.add(i)
+        seen.add(j)
+    for i, vecs in slid.items():
+        if len(vecs) > 1:
+            slid[i] = [[sum(col) for col in zip(*vecs)]]
+    return signs, slid, seen
 
 
 def _check_move(mv: Move, pos: int, r: int, h2_rank: int) -> None:
@@ -587,28 +566,47 @@ def _check_move(mv: Move, pos: int, r: int, h2_rank: int) -> None:
         raise ParseError(f"move {pos}: sign must be +1 or -1, got {mv.s}")
 
 
-def _trace_result(M: ManifoldModel, alpha: LinkClass, w: WrithePair):
-    """The raw pair and the element q1^w1 q2^w2 [x_alpha], reduced."""
+def _trace_result(M: ManifoldModel, alpha: LinkClass, tally):
+    """The writhe pair of a _tally and the element q1^w1 q2^w2 [x_alpha],
+    reduced modulo the doubled lattice.
+
+    A twist adds s to w1, a self crossing 2s to w1, a mixed crossing 2s to
+    w2, and a slide of component i along t adds twice t's pairing with
+    component i to w1 and twice its pairing with the others to w2. Each share
+    is linear, so the slides of i add those of their sum. A component class
+    of the wrong length pairs truncated; the element build reports it.
+    """
+    signs, slid, _seen = tally
+    w1 = signs["twist"] + 2 * signs["self_cross"]
+    w2 = 2 * signs["mixed_cross"]
+    hs = [c.h.free for c in alpha.components]
+    total = [sum(col) for col in zip(*hs)]
+    for i, [t] in slid.items():
+        covector = M._covector(t)
+        own = _dot(covector, hs[i - 1])
+        w1 += 2 * own
+        w2 += 2 * (_dot(covector, total) - own)
+    w = WrithePair(w1, w2)
     return w, SkeinElement("sprime", M, {alpha: LaurentPoly2.monomial(*w)})
 
 
 def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinElement]:
     """Accumulate the writhe pair of a move sequence over [x_alpha].
 
-    The checked moves are tallied and the tally's _tally_writhe taken.
-    Returns the raw pair and the element q1^w1 q2^w2 [x_alpha] with exponents
-    reduced modulo the doubled lattice. Every move is checked before a
-    malformed alpha is reported.
+    Every move is checked in order, then each move's token is put in the
+    _tally that the block reader keeps too, and _trace_result takes the
+    writhe from it. Returns the raw pair and the element q1^w1 q2^w2
+    [x_alpha] with exponents reduced modulo the doubled lattice. Every move
+    is checked before a malformed alpha is reported.
     """
     r = tr.alpha.size
-    signs, slid = _empty_tally()
     for pos, mv in enumerate(tr.moves):
         _check_move(mv, pos, r, M.h2_rank)
-        if isinstance(mv, Slide):
-            slid[mv.i].append(mv.t.vec)
-        else:
-            signs[mv.kind] += mv.s
-    return _trace_result(M, tr.alpha, _tally_writhe(_slide_vectors(M, tr.alpha), signs, slid))
+    tokens = Counter(
+        (mv.kind, mv.i, getattr(mv, "j", mv.i), tuple(mv.t.vec) if isinstance(mv, Slide) else mv.s)
+        for mv in tr.moves
+    )
+    return _trace_result(M, tr.alpha, _tally(tokens.items()))
 
 
 # -- freeness and consistency ----------------------------------------------------
@@ -912,9 +910,8 @@ def _streamed_trace(fh, M: ManifoldModel):
     """(alpha, raw, element) of the trace document in the binary file fh, as
     evaluate_trace_document gives them, read in blocks: its keys in any
     order, alpha decoded whole and moves one run of objects at a time, each
-    run's distinct move texts tallied once with their counts (each sign-move
-    type's sign sum, each index's slide vectors, the indices seen) and its
-    slide vectors then folded into one sum per component. A repeated key
+    run's distinct move texts put in one _tally with their counts, and the
+    writhe taken by _trace_result, as trace_evaluate does. A repeated key
     keeps its last value, as json does. None when the text is not such a
     trace, holds what json reads only from the whole text (a fault, also in
     a value a repeated key drops, a lone surrogate, an int past 4300 digits
@@ -922,7 +919,7 @@ def _streamed_trace(fh, M: ManifoldModel):
     decode = json.JSONDecoder(object_hook=partial(_move_token, M.h2_rank)).decode
     src = _Blocks(fh)
     doc = {}
-    (signs, slid), seen = _empty_tally(), set()  # of a trace with no moves
+    tally = _tally(())  # of a trace with no moves
     try:
         with int_digit_limit(4300):
             src.expect("{")
@@ -935,20 +932,9 @@ def _streamed_trace(fh, M: ManifoldModel):
                 if key == "alpha":
                     doc["alpha"] = src.value()
                 else:
-                    # a fresh tally, as a later moves drops this one
-                    (signs, slid), seen = _empty_tally(), set()
+                    tally = _tally(())  # a fresh one, as a later moves drops this one
                     for run in src.runs():
-                        for (kind, i, j, value), k in _run_tokens(run, decode):
-                            if kind == "slide":
-                                slid[i].append(value if k == 1 else [k * x for x in value])
-                            else:
-                                signs[kind] += k * value
-                                seen.add(j)
-                            seen.add(i)
-                        # _tally_writhe is linear in each component's slide vectors
-                        for i in slid:
-                            if len(slid[i]) > 1:
-                                slid[i] = [[sum(col) for col in zip(*slid[i])]]
+                        _tally(_run_tokens(run, decode), tally)
                         del run  # nothing of a run is held while the next block is read
                 mark = src.peek()
                 src.pos += 1
@@ -958,10 +944,10 @@ def _streamed_trace(fh, M: ManifoldModel):
         return None
     problems: list[str] = []
     alpha, _ = _trace_parts(doc, M, problems)
+    seen = tally[2]
     if problems or seen and (min(seen) < 1 or max(seen) > alpha.size):
         return None
-    w = _tally_writhe(_slide_vectors(M, alpha), signs, slid)
-    return (alpha, *_trace_result(M, alpha, w))
+    return (alpha, *_trace_result(M, alpha, tally))
 
 
 def _read_trace(path: str, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:

@@ -100,6 +100,9 @@ def test_parse_rejects_malformed_text():
     with pytest.raises(ParseError) as exc:
         P2.parse("q1^2^3")
     assert str(exc.value) == "expected '+' or '-' before '^' in 'q1^2^3'"
+    with pytest.raises(ParseError) as exc:
+        P2.parse("q1 -")
+    assert str(exc.value) == "dangling sign at end of 'q1 -'"
 
 
 _coeffs = st.integers(-99, 99).filter(lambda c: c != 0)

@@ -60,6 +60,11 @@ def test_builtin_parameter_errors():
         builtin("S3", 1)
     with pytest.raises(ParseError):
         builtin("poincare-sphere")
+    with pytest.raises(ParseError) as exc:
+        builtin("K3")
+    assert str(exc.value) == (
+        "unknown builtin manifold 'K3' (known: S3, S2xS1, T3, lens, handlebody)"
+    )
 
 
 def test_s2xs1_pairing_values():
@@ -170,6 +175,9 @@ def test_model_shape_validation_aggregates():
     with pytest.raises(DimensionError) as exc:
         ManifoldModel("bad", 2, 0, (), classes=(ClassLabel("a", HomologyClass1((1,))),))
     assert str(exc.value) == "class 'a' h has length 1, expected h1_rank = 2"
+    with pytest.raises(DimensionError) as exc:
+        model_from_document({"name": "x", "h1_rank": 2, "h2_rank": 1, "pairing": [[1]]})
+    assert str(exc.value) == "pairing row 0 has length 1, expected h1_rank = 2"
 
 
 def test_sweep_rule_needs_rank_three():

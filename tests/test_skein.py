@@ -152,16 +152,21 @@ def test_trace_move_semantics():
 
 def test_trace_validation_errors():
     a = alpha_of(1, 2)
-    with pytest.raises(DimensionError, match="out of range"):
-        trace_evaluate(M, MoveTrace(a, (Twist(3, 1),)))
-    with pytest.raises(DimensionError, match="out of range"):
-        trace_evaluate(M, MoveTrace(a, (Twist(0, 1),)))
-    with pytest.raises(ParseError, match="distinct"):
-        trace_evaluate(M, MoveTrace(a, (MixedCross(1, 1, 1),)))
-    with pytest.raises(ParseError, match="sign"):
-        trace_evaluate(M, MoveTrace(a, (Twist(1, 2),)))
-    with pytest.raises(DimensionError, match="slide vector"):
-        trace_evaluate(M, MoveTrace(a, (Slide(1, HomologyClass2((1, 0))),)))
+    out_of_range = "move 1: component index {} out of range for 2 component(s)"
+    faults = [
+        (Twist(3, 1), DimensionError, out_of_range.format(3)),
+        (Twist(0, 1), DimensionError, out_of_range.format(0)),
+        (MixedCross(1, 3, 1), DimensionError, out_of_range.format(3)),
+        (MixedCross(3, 1, 1), DimensionError, out_of_range.format(3)),
+        (MixedCross(1, 1, 1), ParseError, "move 1: mixed crossing needs two distinct components"),
+        (Twist(1, 2), ParseError, "move 1: sign must be +1 or -1, got 2"),
+        (Slide(1, HomologyClass2((1, 0))), DimensionError,
+         "move 1: slide vector has length 2, expected h2_rank = 1"),
+    ]
+    for move, error, message in faults:
+        with pytest.raises(error) as exc:
+            trace_evaluate(M, MoveTrace(a, (Twist(1, 1), move)))
+        assert str(exc.value) == message
     # every move is checked before a malformed alpha is reported, also past a slide
     bad = LinkClass((ClassLabel("b", HomologyClass1((1, 2))),))
     t = HomologyClass2((1,))
