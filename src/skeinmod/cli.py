@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from functools import lru_cache
 from math import gcd
 from operator import add, attrgetter
 
@@ -164,27 +163,23 @@ def cmd_index(args) -> list[str]:
     return lines
 
 
-# the single classes a decompose walk keeps the pairing records of; past this
-# many, a single's record is made again at each visit. A _kept memo keeps as
-# many texts or labels
-_SINGLES_KEPT = 4096
-# the link indices a decompose walk keeps, by the data Gamma' is built from;
-# when this many are kept, the memo is emptied
-_INDICES_KEPT = 256
+# the results a _kept memo holds: a decompose walk's single-class records and
+# link indices, and the texts and labels of decompose and table
+_KEPT = 4096
 
 
 def _kept(fn, key=None):
-    """fn with its results kept by key(x), or by x; when _SINGLES_KEPT are
-    kept, all are dropped."""
+    """fn with its results kept by key(*args), or by its first argument; when
+    _KEPT are kept, all are dropped before the next is added."""
     kept = {}
 
-    def get(x):
-        k = x if key is None else key(x)
+    def get(*args):
+        k = args[0] if key is None else key(*args)
         value = kept.get(k)
         if value is None:
-            if len(kept) >= _SINGLES_KEPT:
+            if len(kept) >= _KEPT:
                 kept.clear()
-            value = kept[k] = fn(x)
+            value = kept[k] = fn(*args)
         return value
 
     return get
@@ -236,9 +231,9 @@ def _enumerate_alphas(M: ManifoldModel, bound: int):
     then lexicographically. For each size, a recursive walk over
     nondecreasing single indices gives each prefix of size - 1 classes with
     its H, folded pairings, mu, components and text. A row reads its
-    _index_key off its prefix and its class; only a row whose key the memo
-    lacks folds its class in and builds Gamma'. The memo keeps up to
-    _INDICES_KEPT indices and is emptied when full."""
+    _index_key off its prefix and its class; only a row whose key the index
+    memo lacks folds its class in and builds Gamma'. The single records and
+    the indices are _kept memos, so each keeps up to _KEPT."""
     yield (), "", link_index(M, None, (), ())
     rank = M.h1_rank
     if rank == 0 or bound == 0:
@@ -248,7 +243,7 @@ def _enumerate_alphas(M: ManifoldModel, bound: int):
     # LinkClass.render's separator for coordinate labels
     sep = "," if rank == 1 else "; "
 
-    @lru_cache(maxsize=_SINGLES_KEPT)
+    @_kept
     def single(k):
         # the k-th class of product(range(-bound, bound + 1), repeat=rank),
         # which is ClassLabel.sort_key order since a coordinate id collates
@@ -278,7 +273,12 @@ def _enumerate_alphas(M: ManifoldModel, bound: int):
                 text + sep + label.id if components else label.id,
             ), k, depth - 1)
 
-    indices = {}
+    def build_index(_known, folded, total, pairs, h, mu):
+        records = _folded_records(_fold_pairings(folded, pairs.items()), mu)
+        return link_index(M, None, records, tuple(map(add, total, h)))
+
+    index = _kept(build_index, _index_key)
+
     root = ((0,) * rank, {}, 0, (), "")
     for size in range(1, bound + 1):
         for (total, folded, mu, components, text), low in prefixes(root, 0, size - 1):
@@ -286,19 +286,10 @@ def _enumerate_alphas(M: ManifoldModel, bound: int):
             known = [(t, a, g, _dot(t, total)) for t, (a, g) in folded.items()]
             for k in range(low, count):
                 label, pairs, class_mu = single(k)
-                row_mu = gcd(mu, class_mu)
-                key = _index_key(known, folded, total, pairs, label.h.free, row_mu)
-                idx = indices.get(key)
-                if idx is None:
-                    if len(indices) >= _INDICES_KEPT:
-                        indices.clear()
-                    records = _folded_records(_fold_pairings(folded, pairs.items()), row_mu)
-                    row_total = tuple(map(add, total, label.h.free))
-                    idx = indices[key] = link_index(M, None, records, row_total)
                 yield (
                     components + (label,),
                     text + sep + label.id if components else label.id,
-                    idx,
+                    index(known, folded, total, pairs, label.h.free, gcd(mu, class_mu)),
                 )
 
 

@@ -11,8 +11,8 @@ A lattice here is any subgroup L of Z^2. The canonical form is a triple
 * rank 1 with a generator (a, b), b != 0: sign-normalized so a > 0, or
   a = 0 and b >= 0, stored as (a, b, 0).
 * rank 1 inside Z x {0} with positive generator (g, 0): stored as
-  (0, 0, g), which keeps the membership and reduction formulas below
-  uniform (the e3 slot is always the Z x {0} direction).
+  (0, 0, g), which keeps the reduction formula below uniform (the e3
+  slot is always the Z x {0} direction).
 
 Canonicalization is a two-column integer Euclidean elimination; no
 normal-form library is involved, so the whole path is auditable.
@@ -91,26 +91,9 @@ class ExponentLattice(Value):
         return 0
 
     def contains(self, v: tuple[int, int]) -> bool:
-        """Exact membership test against the canonical form.
-
-        Args:
-          v: the pair to test.
-
-        Returns:
-          True iff v is an integer combination of the generators.
-        """
-        x, y = v
-        e1, e2, e3 = self.canon
-        if e2 == 0:
-            if y != 0:
-                return False
-        else:
-            if y % e2 != 0:
-                return False
-            x -= (y // e2) * e1
-        if e3 == 0:
-            return x == 0
-        return x % e3 == 0
+        """Whether v is an integer combination of the generators: v lies in L
+        exactly when its coset representative is (0, 0)."""
+        return self.reduce(v) == (0, 0)
 
     def reduce(self, v: tuple[int, int]) -> tuple[int, int]:
         """Canonical coset representative of v modulo this lattice.
@@ -146,9 +129,9 @@ class ExponentLattice(Value):
         """The canon in presentation form for index reports.
 
         A cyclic lattice inside Z x {0} is stored internally as (0, 0, g)
-        so that membership and reduction stay uniform, but is presented as
-        (g, 0, 0): the generator belongs in the leading slot whenever the
-        lattice is cyclic. Both triples generate the same relation ideal.
+        so that reduction stays uniform, but is presented as (g, 0, 0):
+        the generator belongs in the leading slot whenever the lattice is
+        cyclic. Both triples generate the same relation ideal.
         """
         e1, e2, e3 = self.canon
         if e1 == 0 and e2 == 0 and e3 > 0:

@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 
+def _collect(pairs) -> dict:
+    """The coefficients of (exponent key, coefficient) pairs, summed by key."""
+    out = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return out
+
+
 def _ring(name, variables):
     """Make the Laurent polynomial ring over Z in `variables`.
 
@@ -88,10 +96,7 @@ def _ring(name, variables):
         def __add__(self, other):
             if not isinstance(other, Laurent):
                 return NotImplemented
-            out = dict(self.terms)
-            for e, c in other.terms.items():
-                out[e] = out.get(e, 0) + c
-            return Laurent(out)
+            return Laurent(_collect([*self.terms.items(), *other.terms.items()]))
 
         def __sub__(self, other):
             if not isinstance(other, Laurent):
@@ -103,12 +108,8 @@ def _ring(name, variables):
                 return Laurent({e: c * other for e, c in self.terms.items()})
             if not isinstance(other, Laurent):
                 return NotImplemented
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = shift(e1, e2)
-                    out[e] = out.get(e, 0) + c1 * c2
-            return Laurent(out)
+            return Laurent(_collect((shift(e1, e2), c1 * c2) for e1, c1 in self.terms.items()
+                                    for e2, c2 in other.terms.items()))
 
         __rmul__ = __mul__
 
@@ -128,11 +129,8 @@ def _ring(name, variables):
 
         @classmethod
         def parse(cls, text: str):
-            out = {}
-            for coeff, powers in _parse_terms(text, variables):
-                e = key(tuple(powers.get(v, 0) for v in variables))
-                out[e] = out.get(e, 0) + coeff
-            return cls(out)
+            return cls(_collect((key(tuple(powers.get(v, 0) for v in variables)), coeff)
+                                for coeff, powers in _parse_terms(text, variables)))
 
         def __repr__(self) -> str:
             return f"{name}({self.render()!r})"
@@ -150,11 +148,7 @@ LaurentPoly2 = _ring("LaurentPoly2", ("q1", "q2"))
 def _specialize(self, smap: SpecializationMap) -> LaurentPoly1:
     """Collapse to one variable: each q1^a q2^b goes to q^a', where a'
     sums the exponents whose targets are q."""
-    out: dict[int, int] = {}
-    for (a, b), c in self.terms.items():
-        e = smap.exponent(a, b)
-        out[e] = out.get(e, 0) + c
-    return LaurentPoly1(out)
+    return LaurentPoly1(_collect((smap.exponent(a, b), c) for (a, b), c in self.terms.items()))
 
 
 LaurentPoly2.specialize = _specialize

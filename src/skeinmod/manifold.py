@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 from contextlib import contextmanager
 from functools import cached_property
@@ -591,14 +592,23 @@ def decode_json(text: str, path: str, what: str, object_hook=None):
     return doc
 
 
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _has_lone_surrogate(doc) -> bool:
+    """Whether a string in doc, as a key or a value at any depth, holds a lone surrogate."""
     stack = [doc]
     while stack:
         x = stack.pop()
-        if isinstance(x, str) and any("\ud800" <= ch <= "\udfff" for ch in x):
-            return True
-        if isinstance(x, (list, tuple, dict)):
-            stack.extend(x.items() if isinstance(x, dict) else x)
+        kind = type(x)
+        if kind is str:
+            if _LONE_SURROGATE.search(x):
+                return True
+        elif kind is dict:
+            stack += x
+            stack += x.values()
+        elif kind is list or kind is tuple:
+            stack += x
     return False
 
 

@@ -28,6 +28,7 @@ from .laurent import (
     SPECIALIZE_W,
     LaurentPoly1,
     LaurentPoly2,
+    _collect,
 )
 from .manifold import (
     ClassLabel,
@@ -399,26 +400,20 @@ def _reduce_coeff(M: ManifoldModel, alpha: LinkClass, tag: str, coeff):
             raise ParseError("sprime coefficients use the two-variable ring")
         e1, e2, e3 = link_index(M, alpha).eps_prime
         lat = ExponentLattice(((2 * e1, 2 * e2), (2 * e3, 0)))
-        acc: dict = {}
-        for e, c in coeff.terms.items():
-            r = lat.reduce(e)
-            acc[r] = acc.get(r, 0) + c
-        return LaurentPoly2(acc)
+        return LaurentPoly2(_collect((lat.reduce(e), c) for e, c in coeff.terms.items()))
     if not isinstance(coeff, LaurentPoly1):
         raise ParseError(f"{tag} coefficients use the one-variable ring")
     pe = link_index(M, alpha).exponent(tag)
     if pe == 0:
         return coeff
-    mod = 2 * pe
-    acc = {}
-    for a, c in coeff.terms.items():
-        acc[a % mod] = acc.get(a % mod, 0) + c
-    return LaurentPoly1(acc)
+    return LaurentPoly1(_collect((a % (2 * pe), c) for a, c in coeff.terms.items()))
 
 
 class SkeinElement(Value):
     """A finitely supported sum of coefficients against classes [x_alpha].
 
+    terms is a dict from each LinkClass alpha to its coefficient, in the
+    two-variable ring for sprime and the one-variable ring otherwise.
     Coefficients are reduced on construction modulo each class's relation
     ideal and zero coefficients are dropped, so equal values have equal
     term maps.
@@ -429,15 +424,10 @@ class SkeinElement(Value):
     def __init__(self, module_tag: str, manifold: ManifoldModel, terms):
         tag = _check_tag(module_tag)
         reduced = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for alpha, coeff in items:
+        for alpha, coeff in terms.items():
             r = _reduce_coeff(manifold, alpha, tag, coeff)
-            if alpha in reduced:
-                r = reduced[alpha] + r
             if r:
                 reduced[alpha] = r
-            else:
-                reduced.pop(alpha, None)
         object.__setattr__(self, "module_tag", tag)
         object.__setattr__(self, "manifold", manifold)
         object.__setattr__(self, "terms", reduced)

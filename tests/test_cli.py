@@ -103,22 +103,24 @@ def test_json_output_matches_golden_files():
 
 
 def test_goldens_hold_when_each_kept_memo_is_full(monkeypatch, capsys):
-    # with room for one entry, every new key empties a _kept memo first
-    monkeypatch.setattr(cli, "_SINGLES_KEPT", 1)
-    for argv, golden in (
-        (["decompose", "--manifold", "S2xS1", "--bound", "2"], GOLDEN),
-        (
-            ["decompose", "--manifold", "S2xS1", "--bound", "2", "--json"],
-            GOLDEN_DIR / "decompose_s2xs1_b2.json",
-        ),
-        (
-            ["table", "--manifold", str(FIXTURE_MANIFOLD), "--alphas", str(FIXTURE_ALPHAS),
-             "--json"],
-            GOLDEN_DIR / "table_fixture.json",
-        ),
-    ):
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == golden.read_text(encoding="utf-8"), golden
+    # at the one bound these runs keep every entry; with room for one entry,
+    # every new key empties a _kept memo first
+    for kept in (cli._KEPT, 1):
+        monkeypatch.setattr(cli, "_KEPT", kept)
+        for argv, golden in (
+            (["decompose", "--manifold", "S2xS1", "--bound", "2"], GOLDEN),
+            (
+                ["decompose", "--manifold", "S2xS1", "--bound", "2", "--json"],
+                GOLDEN_DIR / "decompose_s2xs1_b2.json",
+            ),
+            (
+                ["table", "--manifold", str(FIXTURE_MANIFOLD), "--alphas", str(FIXTURE_ALPHAS),
+                 "--json"],
+                GOLDEN_DIR / "table_fixture.json",
+            ),
+        ):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == golden.read_text(encoding="utf-8"), (kept, golden)
 
 
 def test_decompose_is_deterministic():
@@ -485,8 +487,8 @@ def test_class_refs_agree_across_verbs(tmp_path, capsys):
 
 def test_gamma_prime_is_built_once_per_link_class(tmp_path, monkeypatch, capsys):
     # table and index build Gamma' once per link class, decompose once per
-    # distinct generator set its walk meets (its memo is not filled here).
-    # Each build canonicalizes once
+    # distinct generator set its walk meets (its memo is not filled here, not
+    # even by T3's 1,746 sets). Each build canonicalizes once
     calls, canonicalized = [], []
     real = skein.gamma_prime
     real_canonicalize = lattice.ExponentLattice._canonicalize
@@ -510,6 +512,7 @@ def test_gamma_prime_is_built_once_per_link_class(tmp_path, monkeypatch, capsys)
         # fewer builds than rows: row [0,0] has row [0]'s data, a_t = g_t =
         # t.H = mu = 0
         (["decompose", "--manifold", "S2xS1", "--bound", "2"], 20, 21),
+        (["decompose", "--manifold", "T3", "--bound", "2"], 1746, 8001),
     ):
         calls.clear()
         canonicalized.clear()

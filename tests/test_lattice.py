@@ -137,8 +137,8 @@ def test_reduce_selects_a_sound_coset_representative(gens, v):
     lat = L(gens)
     r = lat.reduce(v)
     assert lat.reduce(r) == r
+    # contains is reduce(v) == (0, 0), so only the oracle checks v - r
     assert member_by_invariants(gens, (v[0] - r[0], v[1] - r[1]))
-    assert lat.contains((v[0] - r[0], v[1] - r[1]))
     e1, e2, e3 = lat.canon
     if e3 > 0:
         assert 0 <= r[0] < e3

@@ -88,15 +88,27 @@ def test_parse_accepts_both_separators():
 
 
 def test_parse_rejects_malformed_text():
-    bad = ["", "   ", "q1^", "3 +", "* q1", "q1 q2 ^", "x + 1", "q1 *"]
-    for text in bad:
-        with pytest.raises(ParseError):
+    bad = {
+        "": "empty polynomial text ''",
+        "   ": "empty polynomial text '   '",
+        "q1^": "exponent expected after '^' in 'q1^'",
+        "3 +": "dangling sign at end of '3 +'",
+        "* q1": "misplaced '*' in '* q1'",
+        "q1 q2 ^": "exponent expected after '^' in 'q1 q2 ^'",
+        "x + 1": "unexpected character 'x' in polynomial 'x + 1'",
+        "q1 *": "incomplete term in polynomial 'q1 *'",
+    }
+    for text, message in bad.items():
+        with pytest.raises(ParseError) as exc:
             P2.parse(text)
+        assert str(exc.value) == message
     # the one-variable grammar does not know q1/q2, and vice versa
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         P1.parse("q1^2 - 1")
-    with pytest.raises(ParseError):
+    assert str(exc.value) == "variable 'q1' is not allowed here (expected q)"
+    with pytest.raises(ParseError) as exc:
         P2.parse("q^2 - 1")
+    assert str(exc.value) == "variable 'q' is not allowed here (expected q1, q2)"
     with pytest.raises(ParseError) as exc:
         P2.parse("q1^2^3")
     assert str(exc.value) == "expected '+' or '-' before '^' in 'q1^2^3'"

@@ -13,6 +13,7 @@ from skeinmod.manifold import (
     HomologyClass1,
     HomologyClass2,
     ManifoldModel,
+    _has_lone_surrogate,
     builtin,
     load_model,
     model_from_document,
@@ -448,3 +449,17 @@ def test_load_model_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError, match="not valid JSON"):
         load_model(str(bad))
+
+
+@pytest.mark.parametrize("doc, lone", [
+    # a lone low surrogate used as a key, inside a list
+    ({"a": ["x", {"\udc80": 1}]}, True),
+    (["ok", "lone high \ud800"], True),
+    ({"k": "lone low \udfff"}, True),
+    ("\ud800", True),
+    # a joined pair is one code point, not a surrogate
+    ("\U0001F600", False),
+    ({"n": [1, None, 2.5, True, False]}, False),
+])
+def test_has_lone_surrogate_reads_every_string(doc, lone):
+    assert _has_lone_surrogate(doc) is lone

@@ -246,7 +246,7 @@ OWN_COVECTOR = model_from_document({
 })
 
 
-@pytest.mark.parametrize("kept", [cli._INDICES_KEPT, 1])
+@pytest.mark.parametrize("kept", [cli._KEPT, 1])
 @settings(max_examples=150)
 @given(model_and_bound())
 @example((SAME_TORUS_DATA, 2))
@@ -256,9 +256,9 @@ OWN_COVECTOR = model_from_document({
 @example((builtin("T3"), 2))
 def test_decompose_walk_gives_the_literal_index(kept, case):
     # the walk keeps indices by the data Gamma' is built from; with a memo of
-    # one index it is emptied at each build
+    # one entry it is emptied at each build, and so is the singles memo
     M, bound = case
-    with mock.patch.object(cli, "_INDICES_KEPT", kept):
+    with mock.patch.object(cli, "_KEPT", kept):
         for components, _, idx in cli._enumerate_alphas(M, bound):
             assert idx == link_index(M, LinkClass(components)), components
 
