@@ -26,7 +26,9 @@ from .laurent import LaurentPoly2
 from .manifold import (
     BUILTIN_NAMES,
     ClassLabel,
+    HomologyClass1,
     ManifoldModel,
+    _INT_TYPE,
     _dot,
     _vec_str,
     builtin,
@@ -405,13 +407,16 @@ def _label_hook(M: ManifoldModel):
     object unchanged. ASCII holds no lone surrogate, so decode_json's walk
     still reads every string that may hold one. A ref that is only an id is
     looked up once while a _kept memo holds it, so repeated refs share a
-    label."""
+    label; one of just an id and an h of ints is built here, as class_from_entry would."""
     by_id = _kept(M.class_by_id)
 
     def label(entry):
-        cid = entry.get("id")
-        if len(entry) == 1 and type(cid) is str and cid.isascii():
-            return by_id(cid) or entry
+        cid, h = entry.get("id"), entry.get("h")
+        if type(cid) is str and cid.isascii():
+            if len(entry) == 1:
+                return by_id(cid) or entry
+            if len(entry) == 2 and type(h) is list and _INT_TYPE.issuperset(map(type, h)):
+                return ClassLabel(cid, HomologyClass1(tuple(h)))
         problems = []
         found = class_from_entry(entry, "", problems, M)
         if problems or not found.id.isascii() or not (found.h.torsion_tag or "").isascii():
@@ -457,15 +462,18 @@ def cmd_table(args) -> Iterable[str]:
     doc.reverse()
     alphas = (alpha_from_refs(doc.pop(), M) for _ in range(len(doc)))
     indexed = ((alpha, link_index(M, alpha)) for alpha in alphas)
+    # S' depends on eps' alone, so its texts are kept by eps', not by index
     if args.json:
         entries = _kept(lambda c: _indented(class_to_entry(c), 4))
-        members = _kept(lambda idx: _members_json({
-            **_index_json(idx),
-            "sprime_relations": [p.render(" ") for p in idx.summand("sprime").relations],
-        }, 3))
+        relations = _kept(lambda idx: [p.render(" ") for p in idx.summand("sprime").relations],
+                          attrgetter("eps_prime"))
+        members = _kept(lambda idx: _members_json(
+            {**_index_json(idx), "sprime_relations": relations(idx)}, 3
+        ))
         rows = (_row_json(alpha.components, entries, members(idx)) for alpha, idx in indexed)
         return _json_lines({"manifold": M.name}, rows)
-    tail = _kept(lambda idx: f"{_index_text(idx)} S'={idx.summand('sprime').render(' ')}")
+    sprime = _kept(lambda idx: idx.summand("sprime").render(" "), attrgetter("eps_prime"))
+    tail = _kept(lambda idx: f"{_index_text(idx)} S'={sprime(idx)}")
     return itertools.chain(
         (f"manifold: {M.name}",),
         (f"alpha={alpha.render()} {tail(idx)}" for alpha, idx in indexed),

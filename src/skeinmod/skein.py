@@ -256,8 +256,8 @@ def class_pairings(M: ManifoldModel, c: ClassLabel):
     _check_class(c, M.h1_rank)
     h = c.h.free
     covectors = M.covectors(M.torus_subgroup(c))
-    mu = gcd(*(_dot(s, h) for s in M.covectors(M.sphere_subgroup())))
-    record = covectors, tuple(_dot(t, h) for t in covectors), mu
+    mu = gcd(*(_dot(s, h) for s in M.covectors(M.sphere_gens)))
+    record = covectors, tuple([_dot(t, h) for t in covectors]), mu
     if kept is None:
         M._table_records[id(c)] = False
     elif kept is False:
@@ -343,14 +343,14 @@ class LinkIndex(NamedTuple):
             e1, e2, e3 = self.eps_prime
             rels = []
             if (e1, e2) != (0, 0):
-                rels.append(LaurentPoly2.monomial(2 * e1, 2 * e2) - LaurentPoly2.one())
+                rels.append(LaurentPoly2({(2 * e1, 2 * e2): 1, (0, 0): -1}))
             if e3 != 0:
-                rels.append(LaurentPoly2.monomial(2 * e3, 0) - LaurentPoly2.one())
+                rels.append(LaurentPoly2({(2 * e3, 0): 1, (0, 0): -1}))
             return SummandRelations("sprime", tuple(rels))
         pe = self.exponent(tag)
         if pe == 0:
             return SummandRelations(tag, ())
-        return SummandRelations(tag, (LaurentPoly1.monomial(2 * pe) - LaurentPoly1.one(),))
+        return SummandRelations(tag, (LaurentPoly1({2 * pe: 1, 0: -1}),))
 
 
 def link_index(
@@ -704,8 +704,10 @@ def _resolve_refs(M: ManifoldModel, refs, where: str, problems: list, prefix="")
 
 def alpha_from_refs(refs, M: ManifoldModel, prefix: str = "") -> LinkClass:
     """Resolve an array of class refs ({id} from the table, or inline {id, h});
-    a ClassLabel in the array is a ref already resolved and is taken as it is.
-    prefix leads each fault in the message ("alphas[3]: " for a table row)."""
+    a ClassLabel is a ref already resolved, and an array of labels alone is
+    their LinkClass. prefix leads each fault ("alphas[3]: " for a table row)."""
+    if type(refs) is list and all(type(r) is ClassLabel for r in refs):
+        return LinkClass(refs)
     problems: list[str] = []
     alpha = _resolve_refs(M, refs, "alpha", problems, prefix)
     if problems:

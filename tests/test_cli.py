@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from skeinmod import builtin, cli, lattice, skein
+from skeinmod.laurent import LaurentPoly2
 from skeinmod.skein import LinkClass, alpha_from_refs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -524,6 +525,43 @@ def test_gamma_prime_is_built_once_per_link_class(tmp_path, monkeypatch, capsys)
         assert len(canonicalized) == builds, argv
 
 
+def test_table_renders_the_sprime_relations_once_per_canonical_triple(
+    tmp_path, monkeypatch, capsys
+):
+    # the torus generator pairs with the first coordinate and the sphere
+    # generator with the second, so rows that differ in the second share
+    # Gamma' and eps' but not mu: six link indices over three triples
+    model = {"name": "split", "h1_rank": 2, "h2_rank": 2, "pairing": [[1, 0], [0, 1]],
+             "torus_default": [[1, 0]], "sphere_gens": [[0, 1]]}
+    manifold = tmp_path / "split.json"
+    manifold.write_text(json.dumps(model), encoding="utf-8")
+    pair = [[{"id": "a", "h": [1, m]}, {"id": "b", "h": [2, 3 * m]}] for m in (1, 2)]
+    refs = [[{"id": "a", "h": [1, m]}] for m in (2, 3, 4)] + pair + [[]]
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text(json.dumps(refs), encoding="utf-8")
+    renders = []
+    real = LaurentPoly2.render
+
+    def counting(self, *args):
+        renders.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(LaurentPoly2, "render", counting)
+    argv = ["table", "--manifold", str(manifold), "--alphas", str(alphas)]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len({row.split(" S'=")[0].split(" ", 1)[1] for row in rows}) == 6
+    assert {re.search(r"eps'=\S+", row)[0] for row in rows} == {
+        "eps'=(1,0,0)", "eps'=(2,1,3)", "eps'=(0,0,0)"
+    }
+    # one relation for (1,0,0), two for (2,1,3) and none for the free row
+    assert len(renders) == 3
+    renders.clear()
+    assert cli.main(argv + ["--json"]) == 0
+    assert [row["mu"] for row in json.loads(capsys.readouterr().out)["rows"]] == [2, 3, 4, 1, 2, 0]
+    assert len(renders) == 3
+
+
 def test_manifold_document_input(tmp_path):
     doc = {
         "name": "custom",
@@ -881,6 +919,16 @@ def test_the_label_hook_shares_one_label_per_coordinate_id(tmp_path, capsys):
         "error:parse:alphas[1]: alpha[1]: unknown class id 'ghost' (not in the model's class "
         "table); alphas[1]: alpha[2]: unknown class id '1,0' (not in the model's class table)\n"
     )
+
+
+def test_a_bool_in_an_inline_h_is_named_by_table(tmp_path, capsys):
+    # true equals 1 but is no integer: the hook keeps the ref, and table names it
+    alphas = tmp_path / "alphas.json"
+    alphas.write_text('[[{"id": "x", "h": [true]}]]', encoding="utf-8")
+    assert cli.main(["table", "--manifold", "S2xS1", "--alphas", str(alphas)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error:parse:alphas[0]: alpha[0].h must be an array of integers\n"
 
 
 def test_usage_errors_exit_2():

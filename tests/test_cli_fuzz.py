@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from skeinmod import builtin, cli, skein
 from skeinmod.errors import DimensionError, ParseError
-from skeinmod.manifold import int_digit_limit, read_json
+from skeinmod.manifold import (
+    ClassLabel,
+    class_from_entry,
+    int_digit_limit,
+    model_from_document,
+    read_json,
+)
 from skeinmod.skein import (
     _check_class,
     alpha_from_refs,
@@ -568,6 +574,44 @@ def ref_objects(draw, name, planted=st.nothing()):
         key = draw(st.sampled_from([k for k, _ in pairs]))
         pairs.append((key, draw(values[key])))
     return Obj(pairs)
+
+
+@st.composite
+def hook_entries(draw):
+    """(model name, a ref object as json hands it to the label hook): an id
+    that may be no string or no ASCII, an h that may hold bools or floats or
+    have the wrong length, and maybe a torsion_tag or an unknown key."""
+    name = draw(st.sampled_from(sorted(TABLE_MODELS)))
+    rank = TABLE_RANKS[name]
+    coordinate = st.integers(-3, 3) | st.booleans() | st.floats(-2, 3)
+    return name, draw(st.fixed_dictionaries(
+        {"id": st.sampled_from([*TABLE_IDS[name], *ODD_TEXTS, 3])},
+        optional={
+            "h": st.lists(coordinate, min_size=rank - 1, max_size=rank + 1) | st.just("x"),
+            "torsion_tag": st.sampled_from(["t", *ODD_TEXTS, 3]),
+            "x": st.just(1),
+        },
+    ))
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(case=hook_entries())
+# an id ref to a class-table entry whose tag, read from the model, is no ASCII
+@example(case=("named", {"id": "c2"}))
+@example(case=("S2xS1", {"id": "x", "h": [True]}))
+@example(case=("S2xS1", {"id": "x", "h": [1], "torsion_tag": "\u00e9"}))
+def test_the_label_hook_gives_the_class_from_entry_label_or_the_entry(case):
+    # the hook returns class_from_entry's label exactly when it reports no
+    # problem and the ref's own id and tag are ASCII, else the ref itself
+    name, entry = case
+    M = builtin(name) if TABLE_MODELS[name] is None else model_from_document(TABLE_MODELS[name])
+    problems = []
+    found = class_from_entry(entry, "", problems, M)
+    got = cli._label_hook(M)(entry)
+    if not problems and found.id.isascii() and (entry.get("torsion_tag") or "").isascii():
+        assert type(got) is ClassLabel and got == found, entry
+    else:
+        assert got is entry
 
 
 @st.composite
