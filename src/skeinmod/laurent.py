@@ -185,22 +185,7 @@ AUGMENTATION = SpecializationMap("1", "1")
 # parsing
 
 
-_TOKEN_RE = re.compile(r"\s*(q1|q2|q|\^|\*|\+|-|[0-9]+)")
-
-
-def _tokenize(text):
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in polynomial {text!r}")
-        toks.append(m.group(1))
-        pos = m.end()
-    return toks
+_TOKENS = re.compile(r"\s*(?:(q1|q2|q|[\^*+-]|[0-9]+)|(\S))")
 
 
 def _parse_terms(text, variables):
@@ -209,69 +194,59 @@ def _parse_terms(text, variables):
 
     Accepts the rendered grammar plus optional whitespace; '*' between
     factors is optional, so "3 q1^2 q2^-1" and "3*q1^2*q2^-1" both parse.
+    The whole text is tokenized first, so an unexpected character is
+    reported before any grammar fault.
     """
-    toks = _tokenize(text)
+    toks = []
+    for tok, bad in _TOKENS.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r} in polynomial {text!r}")
+        toks.append(tok)
     if not toks:
         raise ParseError(f"empty polynomial text {text!r}")
-    terms = []
+    toks.append("")  # end sentinel
     i = 0
-    n = len(toks)
 
-    def take_sign():
+    def sign():
         nonlocal i
-        sign = 1
-        while i < n and toks[i] in "+-":
-            if toks[i] == "-":
-                sign = -sign
+        start = i
+        while toks[i] in ("+", "-"):
             i += 1
-        return sign
+        return -1 if toks[start:i].count("-") % 2 else 1
 
-    sign = take_sign()
+    terms = []
     while True:
-        coeff = sign
-        exps: dict[str, int] = {}
-        saw_atom = False
-        pending_mul = False
-        while i < n:
+        coeff, exps, last = sign(), {}, None  # last: None, "*" or the term's last atom
+        if terms and not toks[i]:
+            raise ParseError(f"dangling sign at end of {text!r}")
+        while True:
             t = toks[i]
             if t.isdigit():
                 coeff *= int(t)
-                i += 1
-                saw_atom, pending_mul = True, False
             elif t in ("q", "q1", "q2"):
                 if t not in variables:
                     raise ParseError(
                         f"variable {t!r} is not allowed here (expected {', '.join(variables)})"
                     )
-                i += 1
                 e = 1
-                if i < n and toks[i] == "^":
-                    i += 1
-                    esign = 1
-                    while i < n and toks[i] in "+-":
-                        if toks[i] == "-":
-                            esign = -esign
-                        i += 1
-                    if i >= n or not toks[i].isdigit():
+                if toks[i + 1] == "^":
+                    i += 2
+                    e = sign()
+                    if not toks[i].isdigit():
                         raise ParseError(f"exponent expected after '^' in {text!r}")
-                    e = esign * int(toks[i])
-                    i += 1
+                    e *= int(toks[i])
                 exps[t] = exps.get(t, 0) + e
-                saw_atom, pending_mul = True, False
             elif t == "*":
-                if not saw_atom:
+                if last is None:
                     raise ParseError(f"misplaced '*' in {text!r}")
-                i += 1
-                pending_mul = True
             else:
                 break
-        if not saw_atom or pending_mul:
+            last = t
+            i += 1
+        if last in (None, "*"):
             raise ParseError(f"incomplete term in polynomial {text!r}")
         terms.append((coeff, exps))
-        if i >= n:
+        if not toks[i]:
             return terms
-        if toks[i] not in "+-":
+        if toks[i] not in ("+", "-"):
             raise ParseError(f"expected '+' or '-' before {toks[i]!r} in {text!r}")
-        sign = take_sign()
-        if i >= n:
-            raise ParseError(f"dangling sign at end of {text!r}")

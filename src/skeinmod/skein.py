@@ -605,7 +605,7 @@ def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinEl
 def _freeness_generators(M: ManifoldModel, module_tag: str) -> list:
     """The generators is_free scans: sphere ones for w, else every torus one."""
     if _check_tag(module_tag) == "w":
-        return list(M.sphere_subgroup())
+        return list(M.sphere_gens)
     gens = list(M.torus_default)
     for _cid, vecs in M.torus_exceptions:
         gens.extend(vecs)

@@ -1,7 +1,9 @@
 """Ring behavior, rendering grammar, and specialization maps."""
 
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinmod.errors import ParseError
@@ -115,6 +117,75 @@ def test_parse_rejects_malformed_text():
     with pytest.raises(ParseError) as exc:
         P2.parse("q1 -")
     assert str(exc.value) == "dangling sign at end of 'q1 -'"
+
+
+@pytest.mark.parametrize(
+    "ring, text, terms",
+    [
+        # the grammar's accepted edges: '*' runs, digits after a variable,
+        # spaced and repeated signs, and any Unicode blank around tokens
+        (P2, "q12", {(1, 0): 2}),
+        (P2, "q1 * * q2", {(1, 1): 1}),
+        (P2, "q1 ^ - 2", {(-2, 0): 1}),
+        (P2, "3 q1 2 q1", {(2, 0): 6}),
+        (P2, "q1 + + - q2", {(1, 0): 1, (0, 1): -1}),
+        (P2, "+12\n", {(0, 0): 12}),
+        (P2, "\u00a0q1\u2003-\u20031\t", {(1, 0): 1, (0, 0): -1}),
+        (P1, "q^--2", {2: 1}),
+    ],
+)
+def test_parse_accepts_the_grammars_edges(ring, text, terms):
+    assert ring.parse(text).terms == terms
+
+
+@pytest.mark.parametrize(
+    "ring, text, message",
+    [
+        (P2, "-", "incomplete term in polynomial '-'"),
+        (P2, "\x1c", "empty polynomial text '\\x1c'"),
+        (P2, "* q1\t", "misplaced '*' in '* q1\\t'"),
+        (P1, "q2++  ", "variable 'q2' is not allowed here (expected q)"),
+        (P2, "q1^2 x  ", "unexpected character 'x' in polynomial 'q1^2 x  '"),
+        (P2, "q1 - ١", "unexpected character '١' in polynomial 'q1 - ١'"),
+        (P2, "2^3 ", "expected '+' or '-' before '^' in '2^3 '"),
+        (P2, "q1^ -", "exponent expected after '^' in 'q1^ -'"),
+    ],
+)
+def test_parse_names_the_first_fault_exactly(ring, text, message):
+    with pytest.raises(ParseError) as exc:
+        ring.parse(text)
+    assert str(exc.value) == message
+
+
+_GRAMMAR_CHARS = "q0123456789^*+-"
+_stray = st.characters().filter(lambda c: not c.isspace() and c not in _GRAMMAR_CHARS)
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from([P1, P2]),
+    st.text(alphabet=_GRAMMAR_CHARS + "12 \t\n\x1c\u00a0"),
+    _stray,
+    st.text(),
+)
+def test_an_unexpected_character_is_reported_before_any_grammar_fault(ring, head, stray, tail):
+    # the whole text is tokenized before the grammar reads it, so the first
+    # stray character wins over a fault that comes before it
+    text = head + stray + tail
+    first = next(c for c in text if not c.isspace() and c not in _GRAMMAR_CHARS)
+    with pytest.raises(ParseError) as exc:
+        ring.parse(text)
+    assert str(exc.value) == f"unexpected character {first!r} in polynomial {text!r}"
+
+
+def test_parse_runs_in_linear_time():
+    # 10^5 terms parse in about a second; a reader quadratic in the number
+    # of tokens would take minutes
+    p = P2({(k % 317 - 158, k // 317 - 158): k % 7 + 1 for k in range(100_000)})
+    text = p.render(" ")
+    start = time.process_time()
+    assert P2.parse(text) == p
+    assert time.process_time() - start < 5
 
 
 _coeffs = st.integers(-99, 99).filter(lambda c: c != 0)
