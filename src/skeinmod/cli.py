@@ -5,7 +5,7 @@ reads reduce's trace. Output is line-oriented plain text (or one JSON
 object with --json) and is byte-identical for identical inputs. Every
 error exits nonzero with a single line "error:<category>:<message>"; parse
 and usage problems exit with code 2, dimension mismatches with code 3, a
-failed write to stdout with code 74.
+failed write to stdout with code 74 and running out of memory with 71.
 """
 
 from __future__ import annotations
@@ -599,6 +599,9 @@ def main(argv=None) -> int:
     except DimensionError as exc:
         print(f"error:dimension:{_one_line(exc)}", file=sys.stderr)
         return 3
+    except MemoryError:  # EX_OSERR; what was written before it stays written
+        print("error:resource:out of memory", file=sys.stderr)
+        return 71
 
 
 if __name__ == "__main__":

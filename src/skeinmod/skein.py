@@ -15,7 +15,7 @@ import codecs
 import json
 import re
 from collections import Counter, defaultdict
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from functools import partial
 from math import gcd
 from typing import NamedTuple, Union, get_args
@@ -515,58 +515,63 @@ class SkeinElement(Value):
 # -- move traces ---------------------------------------------------------------
 
 
-def _tally(items, tally=None):
-    """Add (token, count) items, tokens as _move_token gives them, to tally,
-    a fresh one if None, and return it: the sum of the signs of each
-    sign-move type, one summed slide vector per component that slid (a
-    one-vector list, folded after each call) and the component indices seen,
-    which are the one thing of a token still to check against alpha."""
-    signs, slid, seen = tally or ({"twist": 0, "self_cross": 0, "mixed_cross": 0},
-                                  defaultdict(list), set())
-    for (kind, i, j, value), k in items:
+def _tally(items, tally=None, order=(), base=0):
+    """Add (token, key, count) items, tokens as _move_token gives them, in
+    the order of their first moves, to tally, a fresh one if None, and
+    return it: the sign sum of each sign-move type, each slid component's
+    summed slide vector (a one-vector list, folded after each call), each
+    index's first move as (base + its key's place in order, token), and the
+    (position, object) of each rejected move, which _tally_run puts in."""
+    signs, slid, seen, rejected = tally or (
+        {"twist": 0, "self_cross": 0, "mixed_cross": 0}, defaultdict(list), {}, [])
+    for (kind, i, j, value), key, k in items:
         if kind == "slide":
             slid[i].append(value if k == 1 else [k * x for x in value])
         else:
             signs[kind] += k * value
-        seen.add(i)
-        seen.add(j)
+        if i not in seen or j not in seen:
+            first = base + order.index(key), (kind, i, j, value)
+            seen.setdefault(i, first)
+            seen.setdefault(j, first)
     for i, vecs in slid.items():
         if len(vecs) > 1:
             slid[i] = [[sum(col) for col in zip(*vecs)]]
-    return signs, slid, seen
+    return signs, slid, seen, rejected
 
 
-def _check_move(mv: Move, pos: int, r: int, h2_rank: int) -> None:
-    """Raise the first fault of move pos against r components and h2_rank."""
-    mixed = isinstance(mv, MixedCross)
-    for i in (mv.i, mv.j) if mixed else (mv.i,):
-        if not 1 <= i <= r:
+def _token(mv: Move) -> tuple:
+    """The token _move_token gives for mv's move object."""
+    return mv.kind, mv.i, getattr(mv, "j", mv.i), tuple(mv.t.vec) if isinstance(mv, Slide) else mv.s
+
+
+def _move_fault(token, pos: int, r: int, h2_rank: int) -> None:
+    """Raise the first fault of move pos, given as its token, against r
+    components and h2_rank: an index out of range, i before j, a mixed
+    crossing on one component, then a slide's length or a sign."""
+    kind, i, j, value = token
+    at = f"move {pos}: "
+    for index in (i, j):  # j is i but for a mixed crossing
+        if not 1 <= index <= r:
+            raise DimensionError(f"{at}component index {index} out of range for {r} component(s)")
+    if i == j and kind == "mixed_cross":
+        raise ParseError(f"{at}mixed crossing needs two distinct components")
+    if kind == "slide":
+        if len(value) != h2_rank:
             raise DimensionError(
-                f"move {pos}: component index {i} out of range for {r} component(s)"
+                f"{at}slide vector has length {len(value)}, expected h2_rank = {h2_rank}"
             )
-    if mixed and mv.i == mv.j:
-        raise ParseError(f"move {pos}: mixed crossing needs two distinct components")
-    if isinstance(mv, Slide):
-        if len(mv.t.vec) != h2_rank:
-            raise DimensionError(
-                f"move {pos}: slide vector has length {len(mv.t.vec)}, "
-                f"expected h2_rank = {h2_rank}"
-            )
-    elif mv.s not in (1, -1):
-        raise ParseError(f"move {pos}: sign must be +1 or -1, got {mv.s}")
+    elif value not in (1, -1):
+        raise ParseError(f"{at}sign must be +1 or -1, got {value}")
 
 
 def _trace_result(M: ManifoldModel, alpha: LinkClass, tally):
     """The writhe pair of a _tally and the element q1^w1 q2^w2 [x_alpha],
-    reduced modulo the doubled lattice.
-
-    A twist adds s to w1, a self crossing 2s to w1, a mixed crossing 2s to
-    w2, and a slide of component i along t adds twice t's pairing with
-    component i to w1 and twice its pairing with the others to w2. Each share
-    is linear, so the slides of i add those of their sum. A component class
-    of the wrong length pairs truncated; the element build reports it.
-    """
-    signs, slid, _seen = tally
+    reduced modulo the doubled lattice. A twist adds s to w1, a self crossing
+    2s to w1, a mixed crossing 2s to w2, and a slide of component i along t
+    twice t's pairing with component i to w1 and with the others to w2. Each
+    share is linear, so the slides of i add those of their sum. A component
+    class of the wrong length pairs truncated; the element build reports it."""
+    signs, slid = tally[:2]
     w1 = signs["twist"] + 2 * signs["self_cross"]
     w2 = 2 * signs["mixed_cross"]
     hs = [c.h.free for c in alpha.components]
@@ -581,22 +586,16 @@ def _trace_result(M: ManifoldModel, alpha: LinkClass, tally):
 
 
 def trace_evaluate(M: ManifoldModel, tr: MoveTrace) -> tuple[WrithePair, SkeinElement]:
-    """Accumulate the writhe pair of a move sequence over [x_alpha].
-
-    Every move is checked in order, then each move's token is put in the
-    _tally that the block reader keeps too, and _trace_result takes the
-    writhe from it. Returns the raw pair and the element q1^w1 q2^w2
-    [x_alpha] with exponents reduced modulo the doubled lattice. Every move
-    is checked before a malformed alpha is reported.
-    """
-    r = tr.alpha.size
-    for pos, mv in enumerate(tr.moves):
-        _check_move(mv, pos, r, M.h2_rank)
-    tokens = Counter(
-        (mv.kind, mv.i, getattr(mv, "j", mv.i), tuple(mv.t.vec) if isinstance(mv, Slide) else mv.s)
-        for mv in tr.moves
-    )
-    return _trace_result(M, tr.alpha, _tally(tokens.items()))
+    """Accumulate the writhe pair of a move sequence over [x_alpha]: each
+    move's token is checked in order by _move_fault and tallied by _tally, as
+    the block reader does, and _trace_result gives the raw pair and the
+    element q1^w1 q2^w2 [x_alpha] reduced modulo the doubled lattice. Every
+    move is checked before a malformed alpha is reported."""
+    tokens = [_token(mv) for mv in tr.moves]
+    for pos, token in enumerate(tokens):
+        _move_fault(token, pos, tr.alpha.size, M.h2_rank)
+    counts = Counter(tokens)
+    return _trace_result(M, tr.alpha, _tally(zip(counts, counts, counts.values()), None, tokens))
 
 
 # -- freeness and consistency ----------------------------------------------------
@@ -749,23 +748,18 @@ def load_trace(path: str, M: ManifoldModel) -> MoveTrace:
 
 
 def _move_token(h2_rank: int, entry):
-    """A token for a well-formed move object, by the rules of _parse_move and
-    _check_move with exact ints, else entry unchanged; the component indices
-    are checked against alpha later. A token, a tuple, which json never
-    builds, is (type, i, j, s) of a sign move, j = i but for a mixed crossing,
-    or (type, i, i, t) of a slide. It never raises and tallies nothing, so
-    json can call it as object_hook and no move is held; h2_rank comes first
-    so that partial binds it positionally, which is the cheaper call."""
+    """A token for a move object that _parse_move and _move_fault pass but
+    for its component indices, which alpha checks, else entry unchanged: a
+    tuple, which json never builds, (type, i, j, s) of a sign move, j = i but
+    for a mixed crossing, or (type, i, i, t) of a slide. It never raises, so
+    json can call it as object_hook; partial binds h2_rank positionally."""
     kind, i = entry.get("type"), entry.get("i")
     if type(kind) is not str or type(i) is not int:
         return entry
     if kind == "slide":
         t = entry.get("t")
-        if len(entry) != 3 or type(t) is not list or len(t) != h2_rank:
-            return entry
-        if not _INT_TYPE.issuperset(map(type, t)):
-            return entry
-        return kind, i, i, t
+        ok = len(entry) == 3 and type(t) is list and len(t) == h2_rank
+        return (kind, i, i, t) if ok and _INT_TYPE.issuperset(map(type, t)) else entry
     j = i
     if kind == "mixed_cross":
         j = entry.get("j")
@@ -779,8 +773,7 @@ def _move_token(h2_rank: int, entry):
     return kind, i, j, s
 
 
-# the bytes a trace is read in at a time
-_READ_BLOCK = 1 << 16
+_READ_BLOCK = 1 << 16  # the bytes a trace is read in at a time
 _BLANK = json.decoder.WHITESPACE  # the blanks json skips between tokens
 # a move array's last run ends at the first "}" that blanks and "]" follow
 _LAST_RUN_END = re.compile(r"\}[ \t\n\r]*\]")
@@ -791,8 +784,7 @@ class _GiveUp(ValueError):
 
 
 class _Blocks:
-    """The text of a binary file, read on as needed: text[pos:] is read and
-    not yet taken."""
+    """The text of a binary file, read on as needed: text[pos:] is not yet taken."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -810,8 +802,7 @@ class _Blocks:
         self.pos = 0
 
     def peek(self) -> str:
-        """The character after the blanks at pos, which pos moves to; "" at the
-        end of the file."""
+        """The character after the blanks at pos, which pos moves to; "" at the end."""
         while True:
             self.pos = _BLANK.match(self.text, self.pos).end()
             if self.pos < len(self.text) or self.eof:
@@ -823,28 +814,28 @@ class _Blocks:
             raise _GiveUp
         self.pos += 1
 
-    def value(self):
-        """The JSON value after the blanks at pos, read on until it ends; one
-        that holds a lone surrogate, which only a \\u escape gives, gives up."""
+    def value_end(self) -> tuple:
+        """(value, end) of the JSON value after the blanks at pos, read on until it ends."""
         self.peek()
         decoder = json.JSONDecoder()
         while True:
             try:
-                value, end = decoder.raw_decode(self.text, self.pos)
-                break
+                return decoder.raw_decode(self.text, self.pos)
             except (ValueError, RecursionError):
                 self.more()
+
+    def value(self):
+        """value_end's value, which pos moves past; one with a lone surrogate gives up."""
+        value, self.pos = self.value_end()
         if _has_lone_surrogate(value):
             raise _GiveUp
-        self.pos = end
         return value
 
     def run_end(self) -> int:
         """Where the run of move objects at pos ends: past the first "}" that
         blanks and "]" follow, else past the last that blanks and "," follow.
-        The cut is an object's end if the run is JSON, as _run_tokens checks:
-        a "}" in a string leaves the string open, and one in a nested value
-        leaves it unclosed."""
+        The cut is an object's end if the run is JSON, as _tally_run checks: a
+        "}" in a string or a nested value leaves it open."""
         while True:
             last = _LAST_RUN_END.search(self.text, self.pos)
             if last:
@@ -856,59 +847,63 @@ class _Blocks:
             self.more()
 
     def runs(self):
-        """The texts of the runs of objects of the move array at pos, in
-        order, each taken once the next is asked for."""
+        """The texts of the move array's runs at pos, each taken once the next is asked for."""
         self.expect("[")
-        if self.peek() == "]":
-            self.pos += 1
-            return
-        mark = ","
-        while mark == ",":
-            self.peek()  # the run starts past the blanks
-            end = self.run_end()
+        comma = self.peek() != "]"  # an entry follows
+        while comma:  # an entry that is no object is a run of its own
+            end = self.run_end() if self.peek() == "{" else self.value_end()[1]
             yield self.text[self.pos:end]
             self.pos = end
-            mark = self.peek()  # "," or "]", as run_end found
-            self.pos += 1
+            comma = self.peek() == ","
+            self.pos += comma
+        self.expect("]")
 
 
-def _run_tokens(run: str, decode):
-    """(token, count) pairs for run, a run of JSON objects parted by commas
-    that ends in "}": decode's token for each object, a distinct one with the
-    number of objects of its text; else _GiveUp or decode's error.
-
-    lead, the run's first separator (from its first "}" to the next "{", or
-    "," for one object), is put before the run, which is then cut at each
-    "}", so each text is a separator and an object up to its "}". The
-    distinct texts are decoded once, joined by "}" with lead taken off. If
-    lead is "," with blanks and the join holds one "{" per text and decodes
-    to one token per text, each brace is an object's, so each separator is
-    "," with blanks and the run decodes to its texts' objects. A move with a
-    brace in a string gives up; only a value a repeated key drops holds one."""
+def _tally_run(run: str, hook, tally, base: int) -> int:
+    """Put run, values of the move array parted by commas, in tally, base the
+    position of its first value, and return its number of values, else
+    raise. A run of objects, its first separator lead put before it, is cut
+    at each "}" into texts, each distinct one decoded once with hook. If lead
+    is "," with blanks and the texts join to one object each, each "}" ends
+    an object, so these are the run's objects; else the run is decoded whole.
+    A token is tallied with its text's count, any other value kept as a
+    rejected move at each place of its text."""
     first = run.find("}")
     following = run.find("{", first)
     lead = run[first + 1:following] if following >= 0 else ","
-    counts = Counter((lead + run).split("}")[:-1])
+    texts = (lead + run).split("}")[:-1]
+    counts = Counter(texts)
     joined = "[" + "}".join(counts)[len(lead):] + "}]"
-    if lead.strip(" \t\n\r") != "," or joined.count("{") != len(counts):
-        raise _GiveUp
-    tokens = decode(joined)
-    if len(tokens) != len(counts) or not all(type(t) is tuple for t in tokens):
-        raise _GiveUp
-    return zip(tokens, counts.values())
+    tokens = ()
+    if lead.strip(" \t\n\r") == ",":
+        with suppress(ValueError):  # a "}" in a string cuts where no object ends
+            tokens = json.loads(joined, object_hook=hook)
+    if not tokens or len(tokens) != len(counts) or not {tuple, dict}.issuperset(map(type, tokens)):
+        # the run whole, as json decodes it: hook takes its entries, not what they nest
+        tokens = [hook(v) if type(v) is dict else v for v in json.loads("[" + run + "]")]
+        counts = Counter(texts := range(len(tokens)))  # each value its own text
+    items = zip(tokens, counts, counts.values())
+    if not {tuple}.issuperset(map(type, tokens)):
+        rejected = {text: t for t, text in zip(tokens, counts) if type(t) is not tuple}
+        if _has_lone_surrogate(list(rejected.values())):
+            raise _GiveUp  # which the whole text reports
+        tally[3].extend((base + p, rejected[t]) for p, t in enumerate(texts) if t in rejected)
+        items = [item for item in items if item[1] not in rejected]
+    _tally(items, tally, texts, base)
+    return len(texts)
 
 
 def _streamed_trace(fh, M: ManifoldModel):
-    """(alpha, raw, element) of the trace document in the binary file fh, as
-    evaluate_trace_document gives them, read in blocks: its keys in any
-    order, alpha decoded whole and moves one run of objects at a time, each
-    run's distinct move texts put in one _tally with their counts, and the
-    writhe taken by _trace_result, as trace_evaluate does. A repeated key
-    keeps its last value, as json does. None when the text is not such a
-    trace, holds what json reads only from the whole text (a fault, also in
-    a value a repeated key drops, a lone surrogate, an int past 4300 digits
-    or bytes that are not UTF-8), or names a component index alpha lacks."""
-    decode = json.JSONDecoder(object_hook=partial(_move_token, M.h2_rank)).decode
+    """(alpha, raw, element) of the trace document in the binary file fh, or
+    the error, as evaluate_trace_document gives them, read in blocks: alpha
+    decoded whole and moves put in one _tally a run at a time, the keys in
+    any order, a repeated one's last value kept, as json does. The rejected
+    moves are parsed, then the first move to name each index out of range
+    and each rejected move checked by _move_fault. None for a key not alpha
+    or moves, or what json reads only from the whole text, also in a value a
+    repeated key drops: a lone surrogate, an int past 4300 digits, bytes
+    that are not UTF-8, too deep a nesting, a run that is no JSON."""
+    hook = partial(_move_token, M.h2_rank)
     src = _Blocks(fh)
     doc = {}
     tally = _tally(())  # of a trace with no moves
@@ -924,9 +919,9 @@ def _streamed_trace(fh, M: ManifoldModel):
                 if key == "alpha":
                     doc["alpha"] = src.value()
                 else:
-                    tally = _tally(())  # a fresh one, as a later moves drops this one
+                    tally, base = _tally(()), 0  # a fresh one, as a later moves drops this one
                     for run in src.runs():
-                        _tally(_run_tokens(run, decode), tally)
+                        base += _tally_run(run, hook, tally, base)
                         del run  # nothing of a run is held while the next block is read
                 mark = src.peek()
                 src.pos += 1
@@ -936,14 +931,19 @@ def _streamed_trace(fh, M: ManifoldModel):
         return None
     problems: list[str] = []
     alpha, _ = _trace_parts(doc, M, problems)
-    seen = tally[2]
-    if problems or seen and (min(seen) < 1 or max(seen) > alpha.size):
-        return None
+    parsed = [(pos, _parse_move(entry, pos, problems)) for pos, entry in tally[3]]
+    if problems:
+        raise ParseError("; ".join(problems))
+    faults = [first for i, first in tally[2].items() if not 1 <= i <= alpha.size]
+    faults += [(pos, _token(mv)) for pos, mv in parsed]
+    if faults:
+        pos, token = min(faults)
+        _move_fault(token, pos, alpha.size, M.h2_rank)
     return (alpha, *_trace_result(M, alpha, tally))
 
 
 def _read_trace(path: str, M: ManifoldModel) -> tuple[LinkClass, WrithePair, SkeinElement]:
-    """evaluate_trace_document of the trace document at path, read by
+    """evaluate_trace_document of the trace document at path, by
     _streamed_trace. The file is opened once, so /dev/stdin works: a pipe is
     first copied to a temporary file, so that a trace the block reader gives
     up on can be read again from offset 0 and parsed whole."""

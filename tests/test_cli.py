@@ -791,6 +791,24 @@ def test_failed_stdout_write_exits_74_with_one_error_line():
         assert len(lines) == 1 and lines[0].startswith("error:io:cannot write stdout: "), args
 
 
+def test_running_out_of_memory_exits_71_with_one_error_line(monkeypatch, capsys):
+    # a MemoryError inside a verb is one error line with EX_OSERR, no traceback
+    def cmd_table(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_table", cmd_table)
+    code = cli.main(["table", "--manifold", "S2xS1", "--alphas", "alphas.json"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (71, "", "error:resource:out of memory\n")
+
+
+def test_the_stdout_error_handler_reraises_what_is_no_encode_error():
+    # only an encode error has a character to escape; a decode error that
+    # names the handler is raised again as it is
+    with pytest.raises(UnicodeDecodeError):
+        b"\xff".decode("ascii", cli._STDOUT_ERRORS)
+
+
 def test_values_past_the_digit_limit_print_while_streaming(tmp_path):
     # t P h = 10^6000 for h = [1]: 6001 digits, formatted as rows are written
     big = "1" + "0" * 3000

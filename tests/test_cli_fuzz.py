@@ -343,6 +343,18 @@ def _parse_then_evaluate_lines(path, M):
 @example(case=("T3", json.dumps({"alpha": [{"id": "1,0,0"}, {"id": "0,1,-1"}], "moves": [
     {"type": "slide", "i": 2, "t": [1, -2, 3]}, {"type": "mixed_cross", "i": 2, "j": 1, "s": -1},
 ] * 2 + [{"type": "slide", "i": 2, "t": [1, -2, 3]}]}, indent=2)))
+# moves before alpha, with an index past r among them: its first move is the fault
+@example(case=("S2xS1", '{"moves": [{"type": "twist", "i": 1, "s": 1}, {"type": "self_cross", '
+                        '"i": 2, "s": -1}, {"type": "slide", "i": 2, "t": [1]}, {"type": "twist", '
+                        '"i": 1, "s": 1}], "alpha": [{"id": "1"}]}'))
+# a mixed crossing on one component, then a later index past r: the first is the fault
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}, {"id": "2"}], "moves": [{"type": "twist", '
+                        '"i": 1, "s": 1}, {"type": "mixed_cross", "i": 2, "j": 2, "s": 1}, '
+                        '{"type": "twist", "i": 3, "s": 1}]}'))
+# a slide of the wrong length, then a parse fault, which comes first
+@example(case=("S2xS1", '{"alpha": [{"id": "1"}], "moves": [{"type": "slide", "i": 1, '
+                        '"t": [1, 2]}, {"type": "twist", "i": 1, "s": 1}, {"type": "twist", '
+                        '"i": 1, "s": 2}]}'))
 @pytest.mark.parametrize("block", [1, 7, 64, skein._READ_BLOCK])
 def test_reduce_gives_what_parse_then_evaluate_gives(block, case):
     name, text = case
@@ -486,8 +498,9 @@ def repeated_key_text(name) -> str:
 @pytest.mark.parametrize("name", sorted(REPEATED_KEYS))
 def test_a_repeated_key_keeps_its_last_value(monkeypatch, tmp_path, name):
     # a repeated moves starts a fresh tally and a repeated alpha replaces the
-    # last; only a fault in a dropped value sends the text to the whole-text
-    # read, which gives the same answer
+    # last; only a lone surrogate in a dropped value sends the text to the
+    # whole-text read, which gives the same answer: a dropped faulty move is
+    # tallied as a rejected one, and dropped with its tally
     calls = []
 
     def spy(*args, real=skein.read_text):
@@ -500,7 +513,7 @@ def test_a_repeated_key_keeps_its_last_value(monkeypatch, tmp_path, name):
     expected = _parse_then_evaluate_lines(str(path), REDUCE_MODELS["S2xS1"])
     code, out, err = _call(["reduce", "--manifold", "S2xS1", "--trace", str(path)])
     assert (code, out.decode().splitlines(), err) == expected and expected[0] == 0
-    assert len(calls) == ("faulty" in name)
+    assert len(calls) == (name == "alpha_faulty_dropped")
 
 
 def _distinct_slides(n):
@@ -509,11 +522,19 @@ def _distinct_slides(n):
     return {"alpha": [{"id": "1"}, {"id": "2"}], "moves": moves}
 
 
+def _faulty_last(n):
+    """_long_trace(n) whose last move names component 3 of 2."""
+    doc = _long_trace(n)
+    doc["moves"][-1] = {"type": "twist", "i": 3, "s": 1}
+    return doc
+
+
 def test_reduce_memory_does_not_follow_the_trace_length(tmp_path):
     # the reader holds one block, alpha and one slide sum per component, so
     # ten times the moves may not raise the traced peak by a megabyte; with
-    # no two slides alike, only the sum after each run keeps the vectors few
-    for trace in (_long_trace, _distinct_slides):
+    # no two slides alike, only the sum after each run keeps the vectors few.
+    # A faulty move is found in the same pass, so it costs no more
+    for trace in (_long_trace, _distinct_slides, _faulty_last):
         peaks = []
         for n in (10**4, 10**5):
             path = tmp_path / f"{trace.__name__}{n}.json"
@@ -524,7 +545,7 @@ def test_reduce_memory_does_not_follow_the_trace_length(tmp_path):
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert code == 0
+            assert code == (3 if trace is _faulty_last else 0)
         assert abs(peaks[1] - peaks[0]) < 2**20, (trace.__name__, peaks)
 
 

@@ -109,6 +109,9 @@ def test_equality_is_by_span():
     assert L([(1, 2), (2, 1)]) == L([(2, 1), (1, 2), (3, 3)])
     assert L([(1, 2)]) != L([(2, 4)])
     assert len({L([(1, 2), (2, 1)]), L([(2, 1), (1, 2)])}) == 1
+    # a lattice is no other kind of value, though it spans the same pairs
+    assert L([(1, 2)]).__eq__([(1, 2)]) is NotImplemented
+    assert L([(1, 2)]) != [(1, 2)] and L([]) != (0, 0, 0)
 
 
 _gen = st.tuples(st.integers(-5, 5), st.integers(-5, 5))

@@ -93,6 +93,12 @@ def test_t3_sweep_generators_frozen():
     assert t.torus_subgroup(c) == gens
 
 
+def test_rule_generators_without_a_rule_are_empty():
+    for M in (builtin("S3"), builtin("S2xS1"), builtin("handlebody", 2)):
+        assert M.torus_rule is None
+        assert M.rule_generators(HomologyClass1((1,) * M.h1_rank)) == ()
+
+
 def test_t3_sweep_pairing_is_determinant():
     t = builtin("T3")
     rng = random.Random(1723)

@@ -193,6 +193,13 @@ def test_element_algebra():
     assert x12.scale(P2.monomial(6, 0)) == x12
     # q1^2 - 1 annihilates [x_[1]]
     assert x.scale(rel2(2, 0)).is_zero()
+    # an element is true when some class keeps a coefficient
+    assert bool(x) and bool(two_terms)
+    assert not x.scale(rel2(2, 0)) and not SkeinElement.zero(M)
+    # a sum with what is no element is left to the other operand, so it fails
+    assert x.__add__(P2.one()) is NotImplemented
+    with pytest.raises(TypeError):
+        x + P2.one()
 
 
 def test_element_reduction_happens_on_construction():
@@ -762,3 +769,83 @@ def test_a_faulty_last_entry_gets_the_parse_then_evaluate_error(tmp_path):
         path.write_text(json.dumps(doc), encoding="utf-8")
         expected = code, "", f"error:{category}:{' '.join(message.split())}\n"
         assert _reduce(path) == expected, fault
+
+
+def _two_component_moves(n, seed):
+    """n well-formed S2xS1 moves on two components, all four kinds."""
+    rng = random.Random(seed)
+    moves = []
+    for _ in range(n):
+        kind = rng.choice(["twist", "self_cross", "mixed_cross", "slide"])
+        i = rng.randint(1, 2)
+        if kind == "slide":
+            moves.append({"type": kind, "i": i, "t": [rng.randint(-50, 50)]})
+        elif kind == "mixed_cross":
+            moves.append({"type": kind, "i": i, "j": 3 - i, "s": rng.choice((1, -1))})
+        else:
+            moves.append({"type": kind, "i": i, "s": rng.choice((1, -1))})
+    return moves
+
+
+def _spy_whole_text(monkeypatch):
+    """The names of the whole-text read, its decode and its parse, as they run."""
+    calls = []
+    for name in ("read_text", "decode_json", "trace_from_document"):
+        def spy(*args, real=getattr(skein, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(skein, name, spy)
+    return calls
+
+
+def test_a_faulty_entry_is_found_in_the_blocks(tmp_path, monkeypatch):
+    # each fault of FAULTY_LAST, after 10^4 moves, gets its error from the
+    # block reader: the whole text is neither read, decoded nor parsed
+    moves = _two_component_moves(10**4, 12)
+    path = tmp_path / "trace.json"
+    for fault, entry in FAULTY_LAST.items():
+        doc = {"alpha": TWO, "moves": moves + [entry]}
+        kind, message = _outcome(lambda: _parse_then_evaluate(doc, M))
+        category, code = ("parse", 2) if kind is ParseError else ("dimension", 3)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        calls = _spy_whole_text(monkeypatch)
+        assert _reduce(path) == (code, "", f"error:{category}:{message}\n"), fault
+        assert calls == [], fault
+        monkeypatch.undo()
+
+
+def test_many_rejected_moves_give_the_whole_aggregated_line(tmp_path, monkeypatch):
+    # 41 faulty entries spread over a 10^4-move trace of several read blocks:
+    # the one line lists alpha's problem, then each entry's in move order, as
+    # trace_from_document does, whichever key comes first. A move fault (a
+    # mixed crossing on one component, an index past r) is no parse problem,
+    # so the line leaves it out
+    unknown = "(expected twist, self_cross, mixed_cross, or slide)"
+    faults = [
+        ({"type": "twist", "i": 1, "s": 2}, "moves[{}].s must be +1 or -1, got 2"),
+        ({"type": "hop", "i": 1}, f"moves[{{}}] has unknown type 'hop' {unknown}"),
+        ({"type": "slide", "i": 1}, "moves[{}] is missing field 't'"),
+        ({"type": "mixed_cross", "i": 1, "j": 1.5, "s": 1}, "moves[{}].j must be an integer"),
+        (5, "moves[{}] must be an object"),
+        ({"type": "mixed_cross", "i": 2, "j": 2, "s": 1}, None),
+        ({"type": "twist", "i": 3, "s": 1}, None),
+    ]
+    moves = _two_component_moves(10**4, 7)
+    problems = ["alpha[1]: unknown class id 'ghost' (not in the model's class table)"]
+    for k in range(41):
+        entry, message = faults[k % len(faults)]
+        moves[243 * k + 5] = entry
+        if message:
+            problems.append(message.format(243 * k + 5))
+    alpha = [{"id": "1"}, {"id": "ghost"}]
+    path = tmp_path / "trace.json"
+    for doc in ({"alpha": alpha, "moves": moves}, {"moves": moves, "alpha": alpha}):
+        assert _outcome(lambda: _parse_then_evaluate(doc, M)) == (ParseError, "; ".join(problems))
+        text = json.dumps(doc)
+        assert len(text) > 4 * skein._READ_BLOCK
+        path.write_text(text, encoding="utf-8")
+        calls = _spy_whole_text(monkeypatch)
+        assert _reduce(path) == (2, "", f"error:parse:{'; '.join(problems)}\n")
+        assert calls == []
+        monkeypatch.undo()
