@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import skeinmod
 from skeinmod import (
     ParseError,
     builtin,
+    cli,
     errors,
     lattice,
     laurent,
@@ -101,3 +103,49 @@ def test_readme_python_api_examples_run_as_their_comments_say():
     assert skeinmod.link_index(M, None, ns["folded"], (3,)) == idx
     assert ns["raw"] == (5, 2)
     assert ns["element"].render() == "q1 [x_[1,2]]"
+
+
+# the exit code of each error category, as README's table gives them
+_ERROR_CODES = {"parse": 2, "usage": 2, "dimension": 3, "resource": 71, "io": 74}
+
+
+def _readme_commands(text):
+    """(argv, lines) for each "$ skeinmod" line of README's plain blocks:
+    lines are what follows it, up to the next "$" line or the block's end."""
+    commands = []
+    # every fence is matched, so that a closing one is never read as an opening one
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.M | re.S)
+    for block in (body for lang, body in blocks if not lang):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M)[1:]:
+            command, *lines = chunk.rstrip("\n").split("\n")
+            assert command.startswith("$ skeinmod "), command
+            commands.append((shlex.split(command)[2:], lines))
+    return commands
+
+
+def _printed_as_shown(lines, out) -> bool:
+    """Whether out is lines, each ended by a newline, where a "..." line
+    stands for any lines it skips."""
+    pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line + "\n") for line in lines)
+    return re.fullmatch(pattern, out) is not None
+
+
+def test_readme_commands_print_what_readme_shows(tmp_path, monkeypatch, capsys):
+    # each input file README names is written where its commands run
+    text = README.read_text(encoding="utf-8")
+    files = re.findall(r"^<!-- file: (\S+) -->\n```json\n(.*?)^```$", text, flags=re.M | re.S)
+    assert [name for name, _ in files] == ["trace.json", "alphas.json", "bad.json"]
+    for name, body in files:
+        (tmp_path / name).write_text(body, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands(text)
+    assert len(commands) == 10
+    for argv, lines in commands:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        error = re.match(r"error:(\w+):", lines[0]) if len(lines) == 1 else None
+        if error:
+            assert (code, out, err) == (_ERROR_CODES[error[1]], "", lines[0] + "\n"), argv
+        else:
+            assert (code, err) == (0, ""), argv
+            assert _printed_as_shown(lines, out), (argv, out)
