@@ -1,11 +1,12 @@
 """Command-line front end: argument parsing, rendering and writing.
 
 Six verbs: decompose, index, reduce, freeness, specialize, table; skein
-reads reduce's trace. Output is line-oriented plain text (or one JSON
-object with --json) and is byte-identical for identical inputs. Every
-error exits nonzero with a single line "error:<category>:<message>"; parse
-and usage problems exit with code 2, dimension mismatches with code 3, a
-failed write to stdout with code 74 and running out of memory with 71.
+reads reduce's trace. index, reduce, freeness and specialize build one
+record each, whose values give the text lines and which --json writes as
+one JSON object; decompose and table stream rows in either form. Output is
+byte-identical for identical inputs. Errors exit with one line
+"error:<category>:<message>": 2 for parse and usage problems, 3 for
+dimension mismatches, 74 for a failed stdout write, 71 for no memory.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .skein import (
     MODULE_TAGS,
     LinkClass,
     LinkIndex,
+    SummandRelations,
     _check_class,
     _freeness_generators,
     _read_trace,
@@ -94,12 +96,28 @@ def _index_text(idx: LinkIndex) -> str:
     return f"eps'={_tuple_str(idx.eps_prime)} eps={idx.eps} mu={idx.mu} eps2={idx.eps2}"
 
 
-def _index_json(idx: LinkIndex) -> dict:
-    return {"eps_prime": list(idx.eps_prime), "eps": idx.eps, "mu": idx.mu, "eps2": idx.eps2}
+def _json_value(value):
+    """json's default for a record value: a LinkClass as its class entries, a
+    SummandRelations as its relation texts and whether it is free."""
+    if type(value) is LinkClass:
+        return [class_to_entry(c) for c in value.components]
+    if type(value) is SummandRelations:
+        return {"relations": [p.render(" ") for p in value.relations], "free": value.is_free}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _summand_json(s) -> dict:
-    return {"relations": [p.render(" ") for p in s.relations], "free": s.is_free}
+def _key_lines(record: dict, *keys) -> list[str]:
+    """The "key: value" text line of each key of record: a tuple as (a,b), a
+    LinkClass or SummandRelations as it renders, anything else as str."""
+    lines = []
+    for key in keys:
+        value = record[key]
+        if isinstance(value, tuple):
+            value = _tuple_str(value)
+        elif type(value) in (LinkClass, SummandRelations):
+            value = value.render()
+        lines.append(f"{key}: {value}")
+    return lines
 
 
 def _indented(value, depth: int) -> str:
@@ -142,27 +160,18 @@ def _json_lines(head: dict, rows):
 # -- verbs ---------------------------------------------------------------------
 
 
-def cmd_index(args) -> list[str]:
+def cmd_index(args) -> tuple[dict, list[str]]:
     M = resolve_manifold(args.manifold)
     alpha = LinkClass.parse(args.alpha, M)
     idx = link_index(M, alpha)
     summands = {tag: idx.summand(tag) for tag in MODULE_TAGS}
-    free_all = all(s.is_free for s in summands.values())
-    if args.json:
-        payload = {
-            "manifold": M.name,
-            "alpha": [class_to_entry(c) for c in alpha.components],
-            **_index_json(idx),
-            "summands": {tag: _summand_json(s) for tag, s in summands.items()},
-            "free_all": free_all,
-        }
-        return [json.dumps(payload, indent=2)]
-    lines = [f"manifold: {M.name}", f"alpha: {alpha.render()}", _index_text(idx)]
-    for tag in MODULE_TAGS:
-        lines.append(f"{_TAG_LABEL[tag]}: {summands[tag].render(' ')}")
-    if free_all:
+    record = {"manifold": M.name, "alpha": alpha, **idx._asdict(), "summands": summands,
+              "free_all": all(s.is_free for s in summands.values())}
+    lines = _key_lines(record, "manifold", "alpha") + [_index_text(idx)]
+    lines += (f"{_TAG_LABEL[tag]}: {s.render()}" for tag, s in summands.items())
+    if record["free_all"]:
         lines.append("free in all four modules")
-    return lines
+    return record, lines
 
 
 # the results a _kept memo holds: a decompose walk's single-class records and
@@ -314,7 +323,7 @@ def cmd_decompose(args) -> Iterable[str]:
         # a class entry's text by its id, which fixes a coordinate label's entry
         entries = _kept(lambda c: _indented(class_to_entry(c), 4), attrgetter("id"))
         members = _kept(lambda idx: _members_json(
-            {"eps_prime": list(idx.eps_prime), **_summand_json(idx.summand(module))}, 3
+            {"eps_prime": idx.eps_prime, **_json_value(idx.summand(module))}, 3
         ))
         head = {"manifold": M.name, "module": module, "bound": args.bound}
         rows = (_row_json(components, entries, members(idx)) for components, _, idx in indexed)
@@ -328,62 +337,40 @@ def cmd_decompose(args) -> Iterable[str]:
     )
 
 
-def cmd_reduce(args) -> list[str]:
+def cmd_reduce(args) -> tuple[dict, list[str]]:
     M = resolve_manifold(args.manifold)
     alpha, raw, element = _read_trace(args.trace, M)
     if args.module != "sprime":
         element = element.specialize(args.module)
-    exponents = next(iter(element.terms[alpha].terms))
-    if args.json:
-        payload = {
-            "manifold": M.name,
-            "alpha": [class_to_entry(c) for c in alpha.components],
-            "module": args.module,
-            "raw": [raw.w1, raw.w2],
-            "reduced": list(exponents) if args.module == "sprime" else exponents,
-            "element": element.render(" "),
-        }
-        return [json.dumps(payload, indent=2)]
-    return [
-        f"manifold: {M.name}",
-        f"alpha: {alpha.render()}",
-        f"module: {args.module}",
-        f"raw: {_tuple_str(raw)}",
-        f"reduced: {_tuple_str(exponents) if args.module == 'sprime' else exponents}",
-        f"element: {element.render(' ')}",
-    ]
+    # the reduced exponent is a pair under sprime, an int under a one-variable module
+    record = {"manifold": M.name, "alpha": alpha, "module": args.module, "raw": raw,
+              "reduced": next(iter(element.terms[alpha].terms)), "element": element.render(" ")}
+    return record, _key_lines(record, *record)
 
 
-def cmd_freeness(args) -> list[str]:
+def cmd_freeness(args) -> tuple[dict, list[str]]:
     M = resolve_manifold(args.manifold)
     free, witness = is_free(M, args.module)
     kind = "sphere" if args.module == "w" else "torus"
+    record = {"manifold": M.name, "module": args.module, "free": free}
     if free:
         if not _freeness_generators(M, args.module):
-            reason = f"no {kind} classes"
+            record["reason"] = f"no {kind} classes"
         elif M.h1_rank == 0:
-            reason = "no homology to pair against"
+            record["reason"] = "no homology to pair against"
         else:
-            reason = f"all {kind} pairings vanish"
-        verdict = f"free ({reason})"
+            record["reason"] = f"all {kind} pairings vanish"
+        verdict = f"free ({record['reason']})"
     else:
         t, e = witness
         val = M.pairing_eval(t, e)
-        verdict = (
-            f"NOT free; witness {kind} {_vec_str(t.vec)} pairs {val} "
-            f"with class {_vec_str(e.free)}"
-        )
-    if args.json:
-        payload = {"manifold": M.name, "module": args.module, "free": free}
-        if free:
-            payload["reason"] = reason
-        else:
-            payload["witness"] = {"generator": list(t.vec), "class": list(e.free), "pairing": val}
-        return [json.dumps(payload, indent=2)]
-    return [f"manifold: {M.name}", f"module: {args.module}", verdict]
+        record["witness"] = {"generator": t.vec, "class": e.free, "pairing": val}
+        verdict = (f"NOT free; witness {kind} {_vec_str(t.vec)} pairs {val} "
+                   f"with class {_vec_str(e.free)}")
+    return record, _key_lines(record, "manifold", "module") + [verdict]
 
 
-def cmd_specialize(args) -> list[str]:
+def cmd_specialize(args) -> tuple[dict, list[str]]:
     text = args.element
     idx = text.find("[")
     poly_text, carrier = (text[:idx], text[idx:].strip()) if idx >= 0 else (text, "")
@@ -392,13 +379,9 @@ def cmd_specialize(args) -> list[str]:
     if depths and (depths[-1] or 0 in depths[:-1]):
         raise ParseError(f"the carrier must be one bracket group at the end of {text!r}")
     poly = LaurentPoly2.parse(poly_text)
-    target = args.module
-    result = poly.specialize(_SPECIALIZE_BY_TAG[target])
+    result = poly.specialize(_SPECIALIZE_BY_TAG[args.module])
     rendered = (result.render(" ") + (" " + carrier if carrier else "")).strip()
-    if args.json:
-        payload = {"module": target, "input": text, "result": rendered}
-        return [json.dumps(payload, indent=2)]
-    return [rendered]
+    return {"module": args.module, "input": text, "result": rendered}, [rendered]
 
 
 def _label_hook(M: ManifoldModel):
@@ -465,10 +448,10 @@ def cmd_table(args) -> Iterable[str]:
     # S' depends on eps' alone, so its texts are kept by eps', not by index
     if args.json:
         entries = _kept(lambda c: _indented(class_to_entry(c), 4))
-        relations = _kept(lambda idx: [p.render(" ") for p in idx.summand("sprime").relations],
+        relations = _kept(lambda idx: _json_value(idx.summand("sprime"))["relations"],
                           attrgetter("eps_prime"))
         members = _kept(lambda idx: _members_json(
-            {**_index_json(idx), "sprime_relations": relations(idx)}, 3
+            {**idx._asdict(), "sprime_relations": relations(idx)}, 3
         ))
         rows = (_row_json(alpha.components, entries, members(idx)) for alpha, idx in indexed)
         return _json_lines({"manifold": M.name}, rows)
@@ -576,6 +559,10 @@ def main(argv=None) -> int:
         # formatted as they are written, so the writes run inside the lift too.
         with int_digit_limit(0):
             lines = args.func(args)
+            if type(lines) is tuple:  # a record and its text lines; --json writes the record
+                record, lines = lines
+                if args.json:
+                    lines = [json.dumps(record, indent=2, default=_json_value)]
             if hasattr(sys.stdout, "reconfigure"):
                 sys.stdout.reconfigure(errors=_STDOUT_ERRORS)
             _write_lines(lines)
@@ -590,15 +577,10 @@ def main(argv=None) -> int:
             return 141
         print(f"error:io:cannot write stdout: {_one_line(exc)}", file=sys.stderr)
         return 74
-    except _UsageError as exc:
-        print(f"error:usage:{_one_line(exc)}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error:parse:{_one_line(exc)}", file=sys.stderr)
-        return 2
-    except DimensionError as exc:
-        print(f"error:dimension:{_one_line(exc)}", file=sys.stderr)
-        return 3
+    except (_UsageError, ParseError, DimensionError) as exc:
+        category = {_UsageError: "usage", ParseError: "parse"}.get(type(exc), "dimension")
+        print(f"error:{category}:{_one_line(exc)}", file=sys.stderr)
+        return 3 if category == "dimension" else 2
     except MemoryError:  # EX_OSERR; what was written before it stays written
         print("error:resource:out of memory", file=sys.stderr)
         return 71
