@@ -35,6 +35,7 @@ SRC = Path(__file__).parent.parent / "src"
 SEED = 14
 MODULES = ("sprime", "s", "l", "w")
 BUILTINS = ("S3", "S2xS1", "T3", "lens(5,2)", "handlebody(2)")
+# model k is of kind KINDS[k % 6], so a third are plain default-path models
 KINDS = ("default", "sweep", "exceptions", "torsion", "no_sphere", "default")
 
 
